@@ -13,7 +13,6 @@ Exit codes: 0 all checks passed, 1 a numeric identity failed,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -204,16 +203,11 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ExprError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (DimensionMismatch, ShapeMismatch) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (InvalidAlgebra, InvalidCayleyTable) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (
+        ExprError, DimensionMismatch, ShapeMismatch, InvalidAlgebra, InvalidCayleyTable,
+        OSError, KeyError, ValueError, TypeError, RuntimeError,
+    ) as exc:
+        # ValueError covers malformed JSON, RuntimeError realize's drift check
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .algebra import (
     GROUP_FIXTURES,
@@ -428,7 +429,7 @@ def run_adjoint_pairing(
         f = random_map(arity, picked[:arity], picked[arity], seed=rng.randrange(1 << 30))
         fstar = adjoint(f)
         ok = True
-        for idx in _all_indices(picked[:arity]):
+        for idx in product(*(range(d) for d in picked[:arity])):
             args = [basis_vector(d, i) for d, i in zip(picked[:arity], idx)]
             for l in range(picked[arity]):
                 w = basis_vector(picked[arity], l)
@@ -448,13 +449,6 @@ def run_adjoint_pairing(
         "Adjoint pairing identity",
         (SuiteRow("pairing identity on all basis tuples", not failures, detail),),
     )
-
-
-def _all_indices(dims):
-    if not dims:
-        return [()]
-    rest = _all_indices(dims[1:])
-    return [(i,) + tail for i in range(dims[0]) for tail in rest]
 
 
 def full_suite(

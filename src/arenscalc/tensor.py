@@ -13,6 +13,12 @@ base axis it came from (``out``, ``in1``, ...), with a trailing ``*`` when
 the axis currently sits at odd dual level; comparisons align axes by label
 so that two realizations are compared slot-order blind.
 
+One strided kernel does the numeric work: ``_permute`` reorders axes by a
+single gather through flat offsets, and ``_contract_last`` contracts the
+fastest axis with a vector.  A word is realized as one permutation: its
+operations compose into one axis order plus dual parities, applied by a
+single ``transpose`` and cross-checked against ``semantics.axis_semantics``.
+
 All entries are ``fractions.Fraction`` and all checks are exact.  An
 absolute tolerance can be passed to ``equal`` for data imported from floats;
 nothing in this package produces inexact values itself.
@@ -24,7 +30,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
+from operator import add
 
 from . import semantics
 from .expr import ADJOINT, ExprAst, flip_perm
@@ -79,13 +86,6 @@ def toggle_dual(label: str) -> str:
     return label[:-1] if label.endswith("*") else label + "*"
 
 
-def split_label(label: str) -> tuple[str, int]:
-    """Base axis name and parity of a label."""
-    if label.endswith("*"):
-        return label[:-1], 1
-    return label, 0
-
-
 @dataclass(frozen=True)
 class MultiMap:
     name: str
@@ -136,25 +136,50 @@ def from_function(name, input_dims, codomain_dim, fn, labels=None) -> MultiMap:
     return MultiMap(name, len(input_dims), input_dims, codomain_dim, labels, entries)
 
 
+def _permute(entries, shape, new_axes) -> tuple:
+    """Row-major entries with the axes reordered; new axis b is old axis
+    new_axes[b].  One gather through flat offsets built from the old
+    strides."""
+    if tuple(new_axes) == tuple(range(len(shape))):
+        return tuple(entries)
+    strides = [1] * len(shape)
+    for k in range(len(shape) - 1, 0, -1):
+        strides[k - 1] = strides[k] * shape[k]
+    offs = [0]
+    for a in new_axes:
+        stride, size = strides[a], shape[a]
+        offs = [o + i * stride for o in offs for i in range(size)]
+    return tuple(map(entries.__getitem__, offs))
+
+
+def _contract_last(vals, x) -> list:
+    """Contract the fastest axis of row-major ``vals`` with coordinates x."""
+    d = len(x)
+    out = None
+    for i, c in enumerate(x):
+        if c == 0:
+            continue
+        col = vals[i::d] if c == 1 else [v * c for v in vals[i::d]]
+        out = col if out is None else list(map(add, out, col))
+    return [Fraction(0)] * (len(vals) // d) if out is None else out
+
+
+def _slot_last(m: MultiMap, axis: int) -> tuple:
+    """Entries of ``m`` with ``axis`` (0 = codomain) moved to the fastest
+    position, ready for ``_contract_last``."""
+    rest = tuple(a for a in range(m.arity + 1) if a != axis)
+    return _permute(m.entries, m.shape, rest + (axis,))
+
+
 def transpose(m: MultiMap, new_axes: tuple[int, ...], name: str | None = None) -> MultiMap:
     """Reorder all axes (codomain included); new axis b draws old axis
     new_axes[b].  Axis 0 of the result is its codomain."""
     if sorted(new_axes) != list(range(m.arity + 1)):
         raise ShapeMismatch(f"bad axis order {new_axes} for arity {m.arity}")
-    old_shape = m.shape
-    new_shape = tuple(old_shape[a] for a in new_axes)
-    slot_of_old = {a: b for b, a in enumerate(new_axes)}
-    entries = []
-    for idx in product(*(range(d) for d in new_shape)):
-        old_idx = tuple(idx[slot_of_old[a]] for a in range(m.arity + 1))
-        entries.append(m.entry(old_idx))
+    new_shape = tuple(m.shape[a] for a in new_axes)
     return MultiMap(
-        name if name is not None else m.name,
-        m.arity,
-        new_shape[1:],
-        new_shape[0],
-        tuple(m.axis_labels[a] for a in new_axes),
-        tuple(entries),
+        name if name is not None else m.name, m.arity, new_shape[1:], new_shape[0],
+        tuple(m.axis_labels[a] for a in new_axes), _permute(m.entries, m.shape, new_axes),
     )
 
 
@@ -179,7 +204,8 @@ def flip(m: MultiMap, letter: str) -> MultiMap:
 
 
 def evaluate(m: MultiMap, args) -> Vector:
-    """Apply the map to one vector per input slot."""
+    """Apply the map to one vector per input slot: contract the last slot
+    first and work back to slot 1."""
     args = list(args)
     if len(args) != m.arity:
         raise DimensionMismatch(f"{m.name}: expected {m.arity} arguments")
@@ -188,52 +214,56 @@ def evaluate(m: MultiMap, args) -> Vector:
             raise DimensionMismatch(
                 f"{m.name}: argument dims {[a.dim for a in args]} vs {m.input_dims}"
             )
-    coords = []
-    for l in range(m.codomain_dim):
-        total = Fraction(0)
-        for idx in product(*(range(d) for d in m.input_dims)):
-            coeff = m.entry((l,) + idx)
-            if coeff == 0:
-                continue
-            term = coeff
-            for v, i in zip(args, idx):
-                term *= v.coords[i]
-            total += term
-        coords.append(total)
-    return Vector(tuple(coords))
+    vals = m.entries
+    for v in reversed(args):
+        vals = _contract_last(vals, v.coords)
+    return Vector(tuple(vals))
 
 
 def realize(expr: ExprAst, base: MultiMap) -> MultiMap:
     """Apply an expression's operations to a concrete base map.
 
-    The final axis labels are cross-checked against an independently
-    computed axis assignment; a disagreement means the two bookkeeping
+    The word is composed into one axis permutation plus a dual parity per
+    base axis and realized by a single ``transpose``; ``adjoint`` and
+    ``flip`` are the step-by-step reference.  The final axis labels are
+    cross-checked against the independently computed
+    ``semantics.axis_semantics``; a disagreement means the two bookkeeping
     paths have drifted apart and is raised as a hard error.
     """
-    out = base
+    n = base.arity
+    axes = list(range(n + 1))  # axes[b]: the base axis now at position b
+    dual = [0] * (n + 1)
     for op in expr.ops:
-        out = adjoint(out) if op == ADJOINT else flip(out, op)
-    asg = semantics.axis_semantics(expr, base.arity)
-    base_by_axis = dict(
-        zip(("out",) + tuple(f"in{k}" for k in range(1, base.arity + 1)), base.axis_labels)
-    )
+        if op == ADJOINT:
+            dual[axes[0]] ^= 1
+            dual[axes[n]] ^= 1
+            axes = [axes[n]] + axes[:n]
+        else:
+            perm = flip_perm(op, n)
+            axes = [axes[0]] + [axes[1 + k] for k in perm]
 
-    def predicted(axis: str, level: int) -> str:
-        root, parity = split_label(base_by_axis[axis])
-        return root + "*" * ((parity + level) % 2)
+    def labelled(pairs) -> tuple[str, ...]:
+        return tuple(
+            toggle_dual(base.axis_labels[a]) if odd % 2 else base.axis_labels[a]
+            for a, odd in pairs
+        )
 
-    want = (predicted(asg.codomain_axis, asg.codomain_level),) + tuple(
-        predicted(a, lv) for a, lv in zip(asg.slot_axes, asg.slot_levels)
+    labels = labelled((a, dual[a]) for a in axes)
+    asg = semantics.axis_semantics(expr, n)
+    names = default_labels(n)
+    want = labelled(
+        (names.index(axis), level) for axis, level in zip(
+            (asg.codomain_axis,) + asg.slot_axes, (asg.codomain_level,) + asg.slot_levels
+        )
     )
-    if want != out.axis_labels:
+    if want != labels:
         raise RuntimeError(
             f"axis bookkeeping drift for {expr.render()}: "
-            f"tensor says {out.axis_labels}, assignment says {want}"
+            f"tensor says {labels}, assignment says {want}"
         )
-    out_name = ExprAst(base.name, expr.ops).render()
+    out = transpose(base, tuple(axes), name=ExprAst(base.name, expr.ops).render())
     return MultiMap(
-        out_name, out.arity, out.input_dims, out.codomain_dim,
-        out.axis_labels, out.entries,
+        out.name, out.arity, out.input_dims, out.codomain_dim, labels, out.entries,
     )
 
 
@@ -273,9 +303,9 @@ def equal(left: MultiMap, right: MultiMap, atol: Fraction | float | None = None)
             f"dims {left.shape} vs {aligned.shape} after label alignment"
         )
     tol = Fraction(0) if atol is None else Fraction(atol)
-    for pos, idx in enumerate(product(*(range(d) for d in left.shape))):
-        a, b = left.entries[pos], aligned.entries[pos]
-        if abs(a - b) > tol:
+    for pos, (a, b) in enumerate(zip(left.entries, aligned.entries)):
+        if a != b and abs(a - b) > tol:
+            idx = next(islice(product(*(range(d) for d in left.shape)), pos, None))
             return IdentityReport(
                 left.name, right.name, False, (idx, str(a), str(b))
             )
@@ -304,26 +334,23 @@ def compose_into_slot(outer: MultiMap, inner: MultiMap, slot: int, name=None) ->
             f"slot {slot} of {outer.name} has dim {outer.input_dims[slot - 1]}, "
             f"but {inner.name} lands in dim {inner.codomain_dim}"
         )
-    pre = outer.input_dims[: slot - 1]
-    post = outer.input_dims[slot:]
-    dims = pre + inner.input_dims + post
+    # outer with the slot axis last, inner with its codomain last; one
+    # contraction per inner input index b gives the block (b; l, pre, post)
+    moved = _slot_last(outer, slot)
     mid = inner.codomain_dim
-
-    def fn(l, *idx):
-        a = idx[: len(pre)]
-        b = idx[len(pre): len(pre) + inner.arity]
-        c = idx[len(pre) + inner.arity:]
-        total = Fraction(0)
-        for m_ in range(mid):
-            lhs = outer.entry((l,) + a + (m_,) + c)
-            if lhs == 0:
-                continue
-            total += lhs * inner.entry((m_,) + b)
-        return total
-
-    return from_function(
+    rows = _slot_last(inner, 0)
+    blocks = []
+    for r in range(0, len(rows), mid):
+        blocks += _contract_last(moved, rows[r:r + mid])
+    # axes (b, l, pre..., post...) -> (l, pre..., b, post...), b flattened
+    pre, post = outer.input_dims[: slot - 1], outer.input_dims[slot:]
+    shape = (len(rows) // mid, outer.codomain_dim) + pre + post
+    order = tuple(range(1, slot + 1)) + (0,) + tuple(range(slot + 1, len(shape)))
+    entries = _permute(blocks, shape, order)
+    dims = pre + inner.input_dims + post
+    return MultiMap(
         name if name is not None else f"{outer.name}.{inner.name}.s{slot}",
-        dims, outer.codomain_dim, fn,
+        len(dims), dims, outer.codomain_dim, default_labels(len(dims)), entries,
     )
 
 
@@ -343,19 +370,11 @@ def compose_codomain(post: MultiMap, m: MultiMap, name=None) -> MultiMap:
             f"{post.name} expects dim {post.input_dims[0]}, "
             f"{m.name} lands in dim {m.codomain_dim}"
         )
-
-    def fn(j, *idx):
-        total = Fraction(0)
-        for l in range(m.codomain_dim):
-            c = post.entry((j, l))
-            if c == 0:
-                continue
-            total += c * m.entry((l,) + idx)
-        return total
-
-    return from_function(
-        name if name is not None else f"{post.name}.{m.name}",
-        m.input_dims, post.codomain_dim, fn, labels=m.axis_labels,
+    name = name if name is not None else f"{post.name}.{m.name}"
+    composed = compose_into_slot(post, m, 1, name=name)
+    return MultiMap(
+        composed.name, m.arity, m.input_dims, post.codomain_dim, m.axis_labels,
+        composed.entries,
     )
 
 
@@ -373,19 +392,10 @@ def slice_slot(m: MultiMap, slot: int, vec: Vector, name=None) -> MultiMap:
     labels = (m.axis_labels[0],) + tuple(
         lab for k, lab in enumerate(m.axis_labels[1:]) if k != slot - 1
     )
-
-    def fn(l, *idx):
-        total = Fraction(0)
-        for i, coeff in enumerate(vec):
-            if coeff == 0:
-                continue
-            full = idx[: slot - 1] + (i,) + idx[slot - 1:]
-            total += coeff * m.entry((l,) + full)
-        return total
-
-    return from_function(
+    return MultiMap(
         name if name is not None else f"{m.name}|s{slot}",
-        dims, m.codomain_dim, fn, labels=labels,
+        m.arity - 1, dims, m.codomain_dim, labels,
+        tuple(_contract_last(_slot_last(m, slot), vec.coords)),
     )
 
 

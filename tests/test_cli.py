@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from arenscalc import semantics
 from arenscalc.cli import main
 from arenscalc.tensor import random_map, save_map, to_dict
 
@@ -113,6 +115,20 @@ def test_check_map_pair_corruption(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "at index" in out
+
+
+def test_check_realize_drift_exits_with_one_error_line(monkeypatch, capsys):
+    real = semantics.axis_semantics
+
+    def drifted(expr, base_arity=3):
+        asg = real(expr, base_arity)
+        return dataclasses.replace(asg, codomain_level=asg.codomain_level + 1)
+
+    monkeypatch.setattr(semantics, "axis_semantics", drifted)
+    assert main(["check", "f^{*}", "f^{*}"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: RuntimeError: axis bookkeeping drift for f^{*}")
 
 
 def test_check_map_single_file(tmp_path, capsys):

@@ -3,9 +3,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import arenscalc.tensor as tensor_module
 from arenscalc.expr import ExprAst, parse
 from arenscalc.tensor import (
     DimensionMismatch,
@@ -30,6 +33,7 @@ from arenscalc.tensor import (
     slice_slot,
     to_dict,
     vector,
+    zero_vector,
 )
 
 
@@ -345,3 +349,91 @@ def test_multimap_validation():
 def test_expr_ast_base_name_is_notational():
     f = random_map(3, (2, 2, 2), 2, seed=55, name="anything")
     assert realize(ExprAst("f", ("*",)), f).entries == adjoint(f).entries
+
+
+# ---------------------------------------------------------------------------
+# oracles: the one-permutation realize against the step-by-step fold, and the
+# contraction evaluate against a per-index sum
+
+WORD_ALPHABET = {1: "*", 2: "*r", 3: "*ijrts"}
+FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def _fold(word, base):
+    out = base
+    for op in word:
+        out = adjoint(out) if op == "*" else flip(out, op)
+    return out
+
+
+def _evaluate_by_index(m, args):
+    coords = []
+    for l in range(m.codomain_dim):
+        total = Fraction(0)
+        for idx in _basis_tuples(m.input_dims):
+            term = m.entry((l,) + idx)
+            for v, i in zip(args, idx):
+                term *= v.coords[i]
+            total += term
+        coords.append(total)
+    return Vector(tuple(coords))
+
+
+def _draw_map(data, arity):
+    dims = data.draw(st.lists(st.integers(1, 3), min_size=arity + 1, max_size=arity + 1))
+    values = iter(data.draw(st.lists(FRACTIONS, min_size=prod(dims), max_size=prod(dims))))
+    return from_function("f", dims[1:], dims[0], lambda *_: next(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_realize_equals_step_by_step_fold(data):
+    arity = data.draw(st.integers(1, 3))
+    letters = WORD_ALPHABET[arity]
+    # a base reached by a prefix word carries starred, reordered labels
+    base = _fold(data.draw(st.text(letters, max_size=4)), _draw_map(data, arity))
+    word = data.draw(st.text(letters, max_size=12))
+    got = realize(ExprAst("f", tuple(word)), base)
+    want = _fold(word, base)
+    assert got.axis_labels == want.axis_labels
+    assert got.shape == want.shape
+    assert got.entries == want.entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_evaluate_equals_per_index_reference(data):
+    f = _draw_map(data, data.draw(st.integers(1, 3)))
+    args = [
+        Vector(tuple(data.draw(st.lists(FRACTIONS, min_size=d, max_size=d))))
+        for d in f.input_dims
+    ]
+    got = evaluate(f, args)
+    assert got == _evaluate_by_index(f, args)
+    assert all(type(c) is Fraction for c in got.coords)
+
+
+def test_evaluate_at_zero_gives_fraction_zeros():
+    f = random_map(2, (2, 3), 3, seed=59)
+    got = evaluate(f, [zero_vector(2), vector([1, 2, 3])])
+    assert got.coords == (Fraction(0),) * 3
+    assert all(type(c) is Fraction for c in got.coords)
+
+
+def test_long_word_realizes_with_one_transpose(monkeypatch):
+    f = random_map(3, (2, 3, 2), 2, seed=61)
+    word = "****ts" * 1666 + "***i"  # 10 000 ops, net effect f^{***i}
+    want = _fold("***i", f)
+    calls = []
+    real_transpose = tensor_module.transpose
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real_transpose(*args, **kwargs)
+
+    monkeypatch.setattr(tensor_module, "transpose", counting)
+    got = realize(ExprAst("f", tuple(word)), f)
+    assert len(calls) == 1
+    assert got.axis_labels == want.axis_labels
+    assert got.entries == want.entries
+
