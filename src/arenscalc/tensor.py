@@ -152,7 +152,7 @@ def _permute(entries, shape, new_axes) -> tuple:
     return tuple(map(entries.__getitem__, offs))
 
 
-def _contract_last(vals, x) -> list:
+def _contract_last(vals, x) -> list | tuple:
     """Contract the fastest axis of row-major ``vals`` with coordinates x."""
     d = len(x)
     out = None
