@@ -7,6 +7,12 @@ extensions of a product, the regularity comparison between them, the
 slice construction that turns a tri-linear map into a bilinear one, and
 the nested-map constraint check.
 
+The structure laws (associativity, the unit law, the product rule and
+the three module laws) are checked as tensor equations: each side is
+one map built by slot composition, and the first codomain block on
+which the sides differ names the first failing basis tuple of a
+lexicographic scan, which is what the error message reports.
+
 Everything here lives in the exact rational model, where dual spaces are
 identified with the spaces themselves through the dot pairing.  In that
 model the two canonical extensions of any bilinear map coincide; the
@@ -26,7 +32,10 @@ from .tensor import (
     IdentityReport,
     MultiMap,
     Vector,
+    _first_mismatch_block,
     basis_vector,
+    compose_codomain,
+    compose_into_slot,
     equal,
     evaluate,
     from_function,
@@ -157,21 +166,29 @@ class AlgebraModel:
             raise InvalidAlgebra(f"product shape {pi.shape} does not match dim {self.dim}")
         if len(self.basis_names) != self.dim:
             raise InvalidAlgebra("one basis name per dimension")
-        es = [basis_vector(self.dim, k) for k in range(self.dim)]
-        for i, j, k in product(range(self.dim), repeat=3):
-            left = evaluate(pi, [evaluate(pi, [es[i], es[j]]), es[k]])
-            right = evaluate(pi, [es[i], evaluate(pi, [es[j], es[k]])])
-            if left != right:
-                raise InvalidAlgebra(
-                    f"associativity fails at ({self.basis_names[i]}, "
-                    f"{self.basis_names[j]}, {self.basis_names[k]})"
+        bad = _first_mismatch_block(
+            "ijk",
+            [(compose_into_slot(pi, pi, 1), "ijk")],
+            [(compose_into_slot(pi, pi, 2), "ijk")],
+        )
+        if bad is not None:
+            raise InvalidAlgebra(
+                "associativity fails at ({}, {}, {})".format(
+                    *(self.basis_names[i] for i in bad)
                 )
+            )
         if self.unit is not None:
             if self.unit.dim != self.dim:
                 raise InvalidAlgebra("unit has wrong dimension")
-            for k in range(self.dim):
-                if evaluate(pi, [self.unit, es[k]]) != es[k] or evaluate(pi, [es[k], self.unit]) != es[k]:
-                    raise InvalidAlgebra(f"unit law fails at basis {self.basis_names[k]}")
+            # u.e_k = e_k and e_k.u = e_k: both slices of pi at u are the identity
+            ident = [(from_function("id", (self.dim,), self.dim, lambda l, k: l == k), "k")]
+            fails = [
+                w
+                for s in (1, 2)
+                if (w := _first_mismatch_block("k", [(slice_slot(pi, s, self.unit), "k")], ident))
+            ]
+            if fails:
+                raise InvalidAlgebra(f"unit law fails at basis {self.basis_names[min(fails)[0]]}")
 
 
 def group_algebra(t: CayleyTable) -> tuple[AlgebraModel, MultiMap]:
@@ -201,7 +218,8 @@ def truncated_poly_algebra(n: int) -> tuple[AlgebraModel, MultiMap]:
     """Polynomials modulo x^n, plus the degree-weighting derivation.
 
     The derivation sends x^k to k.x^k.  Its defining product rule is
-    re-checked on every basis pair at construction time.
+    re-checked at construction time, as one tensor equation over all
+    basis pairs.
     """
     if n < 2:
         raise InvalidAlgebra("need degree bound >= 2")
@@ -214,19 +232,20 @@ def truncated_poly_algebra(n: int) -> tuple[AlgebraModel, MultiMap]:
     delta = from_function(
         "euler", (n,), n, lambda l, k: k if l == k else 0
     )
-    es = [basis_vector(n, k) for k in range(n)]
-    for a, b in product(range(n), repeat=2):
-        lhs = evaluate(delta, [evaluate(pi, [es[a], es[b]])])
-        rhs_coords = tuple(
-            u + v
-            for u, v in zip(
-                evaluate(pi, [evaluate(delta, [es[a]]), es[b]]).coords,
-                evaluate(pi, [es[a], evaluate(delta, [es[b]])]).coords,
-            )
-        )
-        if lhs.coords != rhs_coords:
-            raise InvalidAlgebra(f"product rule fails at (x^{a}, x^{b})")
+    _check_product_rule(pi, delta)
     return model, delta
+
+
+def _check_product_rule(pi: MultiMap, delta: MultiMap) -> None:
+    """delta(ab) = delta(a).b + a.delta(b) on monomials, as one tensor
+    equation in (a, b); raises at the first failing pair."""
+    bad = _first_mismatch_block(
+        "ab",
+        [(compose_codomain(delta, pi), "ab")],
+        [(compose_into_slot(pi, delta, 1), "ab"), (compose_into_slot(pi, delta, 2), "ab")],
+    )
+    if bad is not None:
+        raise InvalidAlgebra("product rule fails at (x^{}, x^{})".format(*bad))
 
 
 def matrix_algebra(k: int) -> AlgebraModel:
@@ -268,19 +287,25 @@ class BanachModuleModel:
         if self.right_action.input_dims != (d, n) or self.right_action.codomain_dim != d:
             raise InvalidAlgebra(f"right action shape {self.right_action.shape}")
         pi = self.algebra.multiplication
-        ea = [basis_vector(n, i) for i in range(n)]
-        ex = [basis_vector(d, i) for i in range(d)]
         lact, ract = self.left_action, self.right_action
-        for i, j, m in product(range(n), range(n), range(d)):
-            ab = evaluate(pi, [ea[i], ea[j]])
-            if evaluate(lact, [ab, ex[m]]) != evaluate(lact, [ea[i], evaluate(lact, [ea[j], ex[m]])]):
-                raise InvalidAlgebra(f"left module law fails at ({i}, {j}, {m})")
-            if evaluate(ract, [ex[m], ab]) != evaluate(ract, [evaluate(ract, [ex[m], ea[i]]), ea[j]]):
-                raise InvalidAlgebra(f"right module law fails at ({m}, {i}, {j})")
-            if evaluate(lact, [ea[i], evaluate(ract, [ex[m], ea[j]])]) != evaluate(
-                ract, [evaluate(lact, [ea[i], ex[m]]), ea[j]]
-            ):
-                raise InvalidAlgebra(f"action compatibility fails at ({i}, {m}, {j})")
+        # each law as two maps of (i, j, m): algebra basis i, j, carrier basis m
+        laws = (
+            ("left module law fails at ({i}, {j}, {m})",
+             (compose_into_slot(lact, pi, 1), "ijm"), (compose_into_slot(lact, lact, 2), "ijm")),
+            ("right module law fails at ({m}, {i}, {j})",
+             (compose_into_slot(ract, pi, 2), "mij"), (compose_into_slot(ract, ract, 1), "mij")),
+            ("action compatibility fails at ({i}, {m}, {j})",
+             (compose_into_slot(lact, ract, 2), "imj"), (compose_into_slot(ract, lact, 1), "imj")),
+        )
+        # the earliest failing triple of the (i, j, m) scan wins, then law order
+        fails = [
+            (w, k)
+            for k, (_, lhs, rhs) in enumerate(laws)
+            if (w := _first_mismatch_block("ijm", [lhs], [rhs])) is not None
+        ]
+        if fails:
+            (i, j, m), k = min(fails)
+            raise InvalidAlgebra(laws[k][0].format(i=i, j=j, m=m))
 
 
 def regular_module(model: AlgebraModel) -> BanachModuleModel:

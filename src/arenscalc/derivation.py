@@ -3,8 +3,13 @@
 A tri-linear map D from three copies of an algebra into a two-sided
 module is a tri-derivation when multiplying any one argument by a
 fourth element splits into a right-action term plus a left-action term,
-in each of the three slots separately.  Multilinearity makes checking
-the three identities on basis quadruples complete.
+in each of the three slots separately.  Each identity is checked as one
+equation between four-input tensors: both sides are built from the
+candidate, the product and the actions by slot composition, read with
+their inputs in (a, b, c, d) order, and compared codomain block by
+block.  By multilinearity this is the same as checking every basis
+quadruple, and the first differing block is the first failing quadruple
+in lexicographic order, which is the witness reported.
 
 The two composite families built from a tri-derivation both fix one
 datum and rearrange the rest: the right-action composite fixes the
@@ -18,8 +23,6 @@ adjoints and re-running the slot checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 
 from .algebra import (
     AlgebraModel,
@@ -33,21 +36,22 @@ from .algebra import (
     truncated_poly_algebra,
 )
 from .expr import ExprAst
+from .semantics import extension_expr
 from .tensor import (
     MultiMap,
     ShapeMismatch,
     Vector,
+    _first_mismatch_block,
     adjoint,
     basis_vector,
+    compose_into_slot,
+    default_labels,
     equal,
-    evaluate,
     from_function,
     realize,
+    slice_slot,
+    transpose,
 )
-
-
-def _vadd(u: Vector, v: Vector) -> Vector:
-    return Vector(tuple(a + b for a, b in zip(u.coords, v.coords)))
 
 
 @dataclass(frozen=True)
@@ -101,42 +105,30 @@ class DerivationReport:
 
 
 def is_tri_derivation(cand: TriDerivationCandidate) -> DerivationReport:
-    """Check the three slot identities on every basis quadruple.
+    """Check the three slot identities as tensor equations.
 
-    Witnesses record the first failing quadruple per identity in
-    lexicographic scan order.
+    For slot k the identity reads D(.., x_k.d, ..) = D(a, b, c).d +
+    x_k.D(.., d, ..) as functions of (a, b, c, d): the left side is the
+    product composed into slot k of D, the right side the sum of D
+    composed into the right action and into the left action, each read
+    with its inputs in (a, b, c, d) order.  A witness is the first
+    failing basis quadruple in lexicographic order, the first codomain
+    block on which the two sides differ.
     """
     D = cand.tri_map
     pi = cand.module.algebra.multiplication
-    lact = cand.module.left_action
-    ract = cand.module.right_action
-    n = cand.module.algebra.dim
-    es = [basis_vector(n, k) for k in range(n)]
-    witness: list[tuple[int, int, int, int] | None] = [None, None, None]
-    for ia, ib, ic, id_ in product(range(n), repeat=4):
-        a, b, c, d = es[ia], es[ib], es[ic], es[id_]
-        dabc = evaluate(D, [a, b, c])
-        right_term = evaluate(ract, [dabc, d])
-        if witness[0] is None:
-            lhs = evaluate(D, [evaluate(pi, [a, d]), b, c])
-            rhs = _vadd(right_term, evaluate(lact, [a, evaluate(D, [d, b, c])]))
-            if lhs != rhs:
-                witness[0] = (ia, ib, ic, id_)
-        if witness[1] is None:
-            lhs = evaluate(D, [a, evaluate(pi, [b, d]), c])
-            rhs = _vadd(right_term, evaluate(lact, [b, evaluate(D, [a, d, c])]))
-            if lhs != rhs:
-                witness[1] = (ia, ib, ic, id_)
-        if witness[2] is None:
-            lhs = evaluate(D, [a, b, evaluate(pi, [c, d])])
-            rhs = _vadd(right_term, evaluate(lact, [c, evaluate(D, [a, b, d])]))
-            if lhs != rhs:
-                witness[2] = (ia, ib, ic, id_)
-    return DerivationReport(
-        SlotCheck(witness[0] is None, witness[0]),
-        SlotCheck(witness[1] is None, witness[1]),
-        SlotCheck(witness[2] is None, witness[2]),
-    )
+    right_term = (compose_into_slot(cand.module.right_action, D, 1), "abcd")
+    left_outer = compose_into_slot(cand.module.left_action, D, 2)
+    checks = []
+    for k, x in enumerate("abc"):
+        before, after = "abc"[:k], "abc"[k + 1:]
+        witness = _first_mismatch_block(
+            "abcd",
+            [(compose_into_slot(D, pi, k + 1), before + x + "d" + after)],
+            [right_term, (left_outer, x + before + "d" + after)],
+        )
+        checks.append(SlotCheck(witness is None, witness))
+    return DerivationReport(*checks)
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +139,14 @@ def right_action_composite(
     cand: TriDerivationCandidate, a: Vector, name: str | None = None
 ) -> MultiMap:
     """The map (c, b, d) -> right_action(D(a, b, c), d) for a fixed a."""
-    D = cand.tri_map
-    ract = cand.module.right_action
     n = cand.module.algebra.dim
     if a.dim != n:
         raise ShapeMismatch(f"fixed element dim {a.dim} vs algebra dim {n}")
-    es = [basis_vector(n, k) for k in range(n)]
-    cols = {
-        (ic, ib, id_): evaluate(ract, [evaluate(D, [a, es[ib], es[ic]]), es[id_]])
-        for ic, ib, id_ in product(range(n), repeat=3)
-    }
-    return from_function(
-        name if name is not None else f"{cand.name}.rc",
-        (n, n, n),
-        cand.module.carrier_dim,
-        lambda l, ic, ib, id_: cols[(ic, ib, id_)].coords[l],
+    # D(a, ., .) with its two inputs swapped, fed into the right action
+    dcb = transpose(slice_slot(cand.tri_map, 1, a), (0, 2, 1))
+    return compose_into_slot(
+        cand.module.right_action, dcb, 1,
+        name=name if name is not None else f"{cand.name}.rc",
     )
 
 
@@ -174,25 +159,19 @@ def dual_action_composite(
     to keep the dual level visible to later realizations.
     """
     D = cand.tri_map
-    n = cand.module.algebra.dim
     if xstar.dim != cand.module.carrier_dim:
         raise ShapeMismatch(
             f"functional dim {xstar.dim} vs carrier dim {cand.module.carrier_dim}"
         )
-    dstar = adjoint(D)
-    lstar = adjoint(cand.module.left_action)
-    es = [basis_vector(n, k) for k in range(n)]
-    cols = {}
-    for ib in range(n):
-        pulled = evaluate(lstar, [xstar, es[ib]])
-        for ia, id_ in product(range(n), repeat=2):
-            cols[(ia, id_, ib)] = evaluate(dstar, [pulled, es[ia], es[id_]])
-    return from_function(
-        name if name is not None else f"{cand.name}.dc",
-        (n, n, n),
-        n,
-        lambda l, ia, id_, ib: cols[(ia, id_, ib)].coords[l],
-        labels=("out*", "in1", "in2", "in3"),
+    # under the dot pairing the value at (a, d, b) pairs with e_k to
+    # xstar . left_action(b, D(a, d, k)); adjoint moves k to the codomain
+    # and the carrier axis to slot 1, where xstar is contracted away
+    lbd = compose_into_slot(cand.module.left_action, D, 2)  # (l; b, a, d, k)
+    kbad = slice_slot(adjoint(lbd), 1, xstar)  # (k; b, a, d)
+    n = cand.module.algebra.dim
+    return MultiMap(
+        name if name is not None else f"{cand.name}.dc", 3, (n, n, n), n,
+        ("out*", "in1", "in2", "in3"), transpose(kbad, (0, 2, 3, 1)).entries,
     )
 
 
@@ -201,18 +180,26 @@ def dual_action_composite(
 
 Row = tuple[str, bool, str]
 
-_EXT_OPS = {
-    "": ("*",) * 4,
-    "i": ("i", "*", "*", "*", "*", "i"),
-    "j": ("j", "*", "*", "*", "*", "j"),
-    "r": ("r", "*", "*", "*", "*", "r"),
-    "t": ("t", "*", "*", "*", "*", "s"),
-    "s": ("s", "*", "*", "*", "*", "t"),
-}
+
+def tally_rows(results, ok_detail: str, labels=()) -> list[Row]:
+    """Fold ``(label, ok, detail)`` results into one row per label.
+
+    Rows come in the order of ``labels``, then of labels first seen; a
+    row passes when no result for its label failed, and then carries
+    ``ok_detail``, else the detail of its first failure.
+    """
+    failures: dict[str, str | None] = dict.fromkeys(labels)
+    for label, ok, detail in results:
+        if failures.setdefault(label, None) is None and not ok:
+            failures[label] = detail
+    return [
+        (label, failure is None, ok_detail if failure is None else failure)
+        for label, failure in failures.items()
+    ]
 
 
 def _extensions(m: MultiMap, leads) -> dict[str, MultiMap]:
-    return {lead: realize(ExprAst(m.name, _EXT_OPS[lead]), m) for lead in leads}
+    return {lead: realize(extension_expr(lead, m.name), m) for lead in leads}
 
 
 def _family_rows(
@@ -228,20 +215,15 @@ def _family_rows(
     of them.  One report row per pair, aggregated across the basis.
     """
     leads = {lead for _, la, lb in pairs for lead in (la, lb)}
-    failures: dict[str, str] = {}
-    for k in range(count):
-        comp = build(k)
-        exts = _extensions(comp, leads)
-        for label, la, lb in pairs:
-            if label in failures:
-                continue
-            rep = equal(exts[la], exts[lb])
-            if not rep.equal:
-                failures[label] = f"basis {k}: {rep.render()}"
-    return [
-        (label, label not in failures, failures.get(label, f"{count} bases checked"))
-        for label, _, _ in pairs
-    ]
+
+    def results():
+        for k in range(count):
+            exts = _extensions(build(k), leads)
+            for label, la, lb in pairs:
+                rep = equal(exts[la], exts[lb])
+                yield label, rep.equal, f"basis {k}: {rep.render()}"
+
+    return tally_rows(results(), f"{count} bases checked", [label for label, _, _ in pairs])
 
 
 def composite_extension_checks(cand: TriDerivationCandidate) -> list[Row]:
@@ -374,25 +356,12 @@ def leibniz_sum(module: BanachModuleModel, delta: MultiMap, name: str) -> MultiM
     alg = module.algebra
     if module.carrier_dim != alg.dim:
         raise ShapeMismatch("sum form needs the algebra acting on itself")
-    pi = alg.multiplication
     n = alg.dim
-    es = [basis_vector(n, k) for k in range(n)]
-
-    def term(u, v, w):
-        return evaluate(pi, [evaluate(pi, [u, v]), w])
-
-    cols = {}
-    for ia, ib, ic in product(range(n), repeat=3):
-        da = evaluate(delta, [es[ia]])
-        db = evaluate(delta, [es[ib]])
-        dc = evaluate(delta, [es[ic]])
-        total = _vadd(
-            _vadd(term(da, es[ib], es[ic]), term(es[ia], db, es[ic])),
-            term(es[ia], es[ib], dc),
-        )
-        cols[(ia, ib, ic)] = total
-    return from_function(
-        name, (n, n, n), n, lambda l, ia, ib, ic: cols[(ia, ib, ic)].coords[l]
+    triple = compose_into_slot(alg.multiplication, alg.multiplication, 1)  # (ab)c
+    terms = [compose_into_slot(triple, delta, k).entries for k in (1, 2, 3)]
+    return MultiMap(
+        name, 3, (n, n, n), n, default_labels(3),
+        tuple(u + v + w for u, v, w in zip(*terms)),
     )
 
 
@@ -428,13 +397,11 @@ def _matrix2_inner() -> TriDerivationCandidate:
     mod = regular_module(model)
     pi = model.multiplication
     m = basis_vector(4, 1)  # E12
-    es = [basis_vector(4, k) for k in range(4)]
-    inner = from_function(
-        "ad",
-        (4,),
-        4,
-        lambda l, k: evaluate(pi, [m, es[k]]).coords[l]
-        - evaluate(pi, [es[k], m]).coords[l],
+    # the inner derivation a -> E12.a - a.E12
+    left, right = slice_slot(pi, 1, m), slice_slot(pi, 2, m)
+    inner = MultiMap(
+        "ad", 1, (4,), 4, default_labels(1),
+        tuple(u - v for u, v in zip(left.entries, right.entries)),
     )
     D = leibniz_sum(mod, inner, "D")
     return TriDerivationCandidate("matrix2-inner", D, mod)

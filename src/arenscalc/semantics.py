@@ -30,6 +30,7 @@ from .expr import (
     ExprAst,
     FLIP_PERMS,
     IDENTITY_PERM,
+    PERM_NAMES,
     base_signature,
     compose_flips,
     flip_perm,
@@ -133,12 +134,8 @@ EXTENSION_FLIPS = ("i", "j", "r", "", "t", "s")
 def extension_expr(lead: str, base: str = "f") -> ExprAst:
     if lead == "":
         return ExprAst(base, tuple(ADJOINT * 4))
-    inv = PERM_LETTERS[invert_flip(FLIP_PERMS[lead])]
+    inv = PERM_NAMES[invert_flip(FLIP_PERMS[lead])]
     return ExprAst(base, (lead,) + tuple(ADJOINT * 4) + (inv,))
-
-
-PERM_LETTERS = {perm: letter for letter, perm in FLIP_PERMS.items()}
-PERM_LETTERS[IDENTITY_PERM] = ""
 
 
 def natural_extensions(base: str = "f") -> list[tuple[ExprAst, LimitOrder]]:

@@ -33,6 +33,7 @@ from .derivation import (
     derivation_fixture,
     fourth_adjoint_check,
     is_tri_derivation,
+    tally_rows,
 )
 from .expr import parse
 from .semantics import (
@@ -43,14 +44,11 @@ from .semantics import (
 )
 from .tensor import (
     adjoint,
-    basis_vector,
     build_factored,
     compose_codomain,
     compose_into_slot,
     equal,
-    evaluate,
     from_function,
-    pair,
     random_map,
     realize,
     vector,
@@ -226,93 +224,69 @@ def run_factorization_suite(
     seed: int, instances: int = 25, dims: Dims = None
 ) -> SuiteSection:
     rng = random.Random(seed)
-    counts = {
-        "single-sided factor identity": 0,
-        "single-sided pointwise form": 0,
-        "two-sided first identity": 0,
-        "two-sided second identity": 0,
-        "two-sided construction consistency": 0,
-    }
-    first_failure: dict[str, str] = {}
+    labels = (
+        "single-sided factor identity",
+        "single-sided pointwise form",
+        "two-sided first identity",
+        "two-sided second identity",
+        "two-sided construction consistency",
+    )
 
-    def tally(label: str, rep) -> None:
-        if rep.equal:
-            counts[label] += 1
-        elif label not in first_failure:
-            first_failure[label] = rep.render()
+    def results():
+        for _ in range(instances):
+            dx, dy, dz, dw, ds = _pick_dims(rng, 5, dims)
+            g = random_map(3, (dx, ds, dz), dw, seed=rng.randrange(1 << 30), name="g")
+            h = random_map(1, (dy,), ds, seed=rng.randrange(1 << 30), name="h")
+            f = build_factored(g, h, 2, name="f")
+            lhs = realize(parse("f^{t*****}"), f)
+            rhs = compose_codomain(
+                realize(parse("h^{***}"), h), realize(parse("g^{t*****}"), g)
+            )
+            yield "single-sided factor identity", equal(lhs, rhs)
+            aux_lhs = realize(parse("f^{t****s}"), f)
+            aux_rhs = compose_into_slot(realize(parse("g^{t****s}"), g), h, 2)
+            yield "single-sided pointwise form", equal(aux_lhs, aux_rhs)
 
-    for _ in range(instances):
-        dx, dy, dz, dw, ds = _pick_dims(rng, 5, dims)
-        g = random_map(3, (dx, ds, dz), dw, seed=rng.randrange(1 << 30), name="g")
-        h = random_map(1, (dy,), ds, seed=rng.randrange(1 << 30), name="h")
-        f = build_factored(g, h, 2, name="f")
-        lhs = realize(parse("f^{t*****}"), f)
-        rhs = compose_codomain(
-            realize(parse("h^{***}"), h), realize(parse("g^{t*****}"), g)
-        )
-        tally("single-sided factor identity", equal(lhs, rhs))
-        aux_lhs = realize(parse("f^{t****s}"), f)
-        aux_rhs = compose_into_slot(realize(parse("g^{t****s}"), g), h, 2)
-        tally("single-sided pointwise form", equal(aux_lhs, aux_rhs))
-
-        core = random_map(3, (dx, ds, ds), dw, seed=rng.randrange(1 << 30), name="c")
-        h1 = random_map(1, (dy,), ds, seed=rng.randrange(1 << 30), name="h1")
-        h2 = random_map(1, (dz,), ds, seed=rng.randrange(1 << 30), name="h2")
-        gg = compose_into_slot(core, h2, 3, name="g")
-        kk = compose_into_slot(core, h1, 2, name="K")
-        f2 = compose_into_slot(gg, h1, 2, name="f")
-        f2b = compose_into_slot(kk, h2, 3, name="f")
-        tally("two-sided construction consistency", equal(f2, f2b))
-        tally(
-            "two-sided first identity",
-            equal(
+            core = random_map(3, (dx, ds, ds), dw, seed=rng.randrange(1 << 30), name="c")
+            h1 = random_map(1, (dy,), ds, seed=rng.randrange(1 << 30), name="h1")
+            h2 = random_map(1, (dz,), ds, seed=rng.randrange(1 << 30), name="h2")
+            gg = compose_into_slot(core, h2, 3, name="g")
+            kk = compose_into_slot(core, h1, 2, name="K")
+            f2 = compose_into_slot(gg, h1, 2, name="f")
+            f2b = compose_into_slot(kk, h2, 3, name="f")
+            yield "two-sided construction consistency", equal(f2, f2b)
+            yield "two-sided first identity", equal(
                 realize(parse("f^{*****}"), f2),
                 compose_codomain(
                     realize(parse("h^{***}"), h2), realize(parse("K^{*****}"), kk)
                 ),
-            ),
-        )
-        tally(
-            "two-sided second identity",
-            equal(
+            )
+            yield "two-sided second identity", equal(
                 realize(parse("f^{******}"), f2),
                 compose_codomain(
                     realize(parse("h^{***}"), h1), realize(parse("g^{******}"), gg)
                 ),
-            ),
-        )
+            )
 
-    rows = tuple(
-        SuiteRow(
-            label,
-            counts[label] == instances,
-            first_failure.get(label, f"{counts[label]}/{instances} instances"),
-        )
-        for label in counts
+    rows = tally_rows(
+        ((label, rep.equal, rep.render()) for label, rep in results()),
+        f"{instances}/{instances} instances",
+        labels,
     )
-    return SuiteSection("Factorization through a linear map", rows)
+    return SuiteSection("Factorization through a linear map", tuple(SuiteRow(*r) for r in rows))
 
 
 def run_slice_bridge_suite(seed: int, pairs: int = 25, dims: Dims = None) -> SuiteSection:
     rng = random.Random(seed)
-    counts: dict[str, int] = {}
-    first_failure: dict[str, str] = {}
-    for _ in range(pairs):
-        f = _rand_tri(rng, dims)
-        wstar = vector(tuple(rng.randint(-9, 9) for _ in range(f.codomain_dim)))
-        for label, ok, detail in slice_bridge_check(f, wstar).rows:
-            counts[label] = counts.get(label, 0) + (1 if ok else 0)
-            if not ok and label not in first_failure:
-                first_failure[label] = detail
-    rows = tuple(
-        SuiteRow(
-            label,
-            counts[label] == pairs,
-            first_failure.get(label, f"{counts[label]}/{pairs} pairs"),
-        )
-        for label in counts
-    )
-    return SuiteSection("Bilinear slice bridge", rows)
+
+    def results():
+        for _ in range(pairs):
+            f = _rand_tri(rng, dims)
+            wstar = vector(tuple(rng.randint(-9, 9) for _ in range(f.codomain_dim)))
+            yield from slice_bridge_check(f, wstar).rows
+
+    rows = tally_rows(results(), f"{pairs}/{pairs} pairs")
+    return SuiteSection("Bilinear slice bridge", tuple(SuiteRow(*r) for r in rows))
 
 
 def run_nested_bilinear_cases(seed: int) -> SuiteSection:
@@ -428,19 +402,12 @@ def run_adjoint_pairing(
         picked = _pick_dims(rng, arity + 1, dims)
         f = random_map(arity, picked[:arity], picked[arity], seed=rng.randrange(1 << 30))
         fstar = adjoint(f)
-        ok = True
-        for idx in product(*(range(d) for d in picked[:arity])):
-            args = [basis_vector(d, i) for d, i in zip(picked[:arity], idx)]
-            for l in range(picked[arity]):
-                w = basis_vector(picked[arity], l)
-                lhs = pair(evaluate(fstar, [w] + args[:-1]), args[-1])
-                rhs = pair(w, evaluate(f, args))
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        # <f*(e_l, e_i1, .., e_i(n-1)), e_in> = <e_l, f(e_i1, .., e_in)>,
+        # read entry by entry so the check does not share the kernel
+        if any(
+            fstar.entry((idx[-1],) + idx[:-1]) != f.entry(idx)
+            for idx in product(*map(range, f.shape))
+        ):
             failures.append(str(k))
     detail = f"{instances - len(failures)}/{instances} instances"
     if failures:

@@ -18,6 +18,9 @@ single gather through flat offsets, and ``_contract_last`` contracts the
 fastest axis with a vector.  A word is realized as one permutation: its
 operations compose into one axis order plus dual parities, applied by a
 single ``transpose`` and cross-checked against ``semantics.axis_semantics``.
+An identity between sums of composed maps is checked by
+``_first_mismatch_block``, which reads every side with the codomain axis
+last and reports the first differing block as a lexicographic witness.
 
 All entries are ``fractions.Fraction`` and all checks are exact.  An
 absolute tolerance can be passed to ``equal`` for data imported from floats;
@@ -30,8 +33,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
-from operator import add
+from itertools import compress, count, islice, product
+from operator import add, ne
 
 from . import semantics
 from .expr import ADJOINT, ExprAst, flip_perm
@@ -310,6 +313,40 @@ def equal(left: MultiMap, right: MultiMap, atol: Fraction | float | None = None)
                 left.name, right.name, False, (idx, str(a), str(b))
             )
     return IdentityReport(left.name, right.name, True)
+
+
+def _first_mismatch_block(inputs: str, lhs, rhs) -> tuple[int, ...] | None:
+    """Where two sums of maps, read as functions of common inputs, differ.
+
+    ``inputs`` names the common inputs, one letter each, and every side is
+    a sequence of ``(map, names)`` terms whose ``names`` letter the map's
+    input slots.  Each term is permuted once to the common input order
+    with the codomain axis last, and the terms of a side are added, so
+    every input index owns one contiguous codomain block.  Returns the
+    input index (in ``inputs`` order) of the first block on which the two
+    sides differ, which is the first failing tuple of a lexicographic
+    basis scan, or None when the sides agree.  Sums are formed lazily,
+    so the scan stops at the first differing entry.
+    """
+    shapes = set()
+
+    def total(terms):
+        out = None
+        for m, names in terms:
+            axes = tuple(1 + names.index(v) for v in inputs) + (0,)
+            shapes.add(tuple(m.shape[a] for a in axes))
+            vals = _permute(m.entries, m.shape, axes)
+            out = vals if out is None else map(add, out, vals)
+        return out
+
+    left, right = total(lhs), total(rhs)
+    if len(shapes) != 1:
+        raise ShapeMismatch(f"terms of one identity disagree in shape: {sorted(shapes)}")
+    (shape,) = shapes
+    pos = next(compress(count(), map(ne, left, right)), None)
+    if pos is None:
+        return None
+    return next(islice(product(*map(range, shape[:-1])), pos // shape[-1], None))
 
 
 def random_map(arity, input_dims, codomain_dim, seed, entry_bound=9, name="f") -> MultiMap:

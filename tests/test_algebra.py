@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arenscalc.algebra import (
     GROUP_FIXTURES,
@@ -12,6 +13,7 @@ from arenscalc.algebra import (
     CayleyTable,
     ConstraintViolated,
     InvalidAlgebra,
+    _check_product_rule,
     InvalidCayleyTable,
     arens_products,
     cayley_fixture,
@@ -27,6 +29,8 @@ from arenscalc.algebra import (
 )
 from arenscalc.expr import parse
 from arenscalc.tensor import (
+    MultiMap,
+    Vector,
     basis_vector,
     equal,
     evaluate,
@@ -356,3 +360,203 @@ def test_group_convolution_completely_regular(name):
     exts = [realize(expr, triple) for expr, _ in natural_extensions(triple.name)]
     for other in exts[1:]:
         assert equal(exts[0], other).equal
+
+
+# ---------------------------------------------------------------------------
+# the structure checks as tensor equations, against the basis-loop scans
+#
+# The reference functions restate the scans the checks are defined by:
+# every basis tuple in lexicographic order, one evaluate per side, the
+# first failure reported.  Inputs are fixtures with at most one entry
+# perturbed by a nonzero rational, so the tensor equations must find the
+# same first failing tuple and give the same message.
+
+DELTAS = st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+
+
+def _perturbed_entries(data, entries) -> tuple:
+    pos = data.draw(st.integers(-1, len(entries) - 1), label="perturbed position")
+    if pos < 0:
+        return tuple(entries)
+    out = list(entries)
+    out[pos] += data.draw(DELTAS, label="delta")
+    return tuple(out)
+
+
+def _perturb(data, m: MultiMap) -> MultiMap:
+    return MultiMap(
+        m.name, m.arity, m.input_dims, m.codomain_dim, m.axis_labels,
+        _perturbed_entries(data, m.entries),
+    )
+
+
+def _error(check) -> str | None:
+    try:
+        check()
+    except InvalidAlgebra as exc:
+        return str(exc)
+    return None
+
+
+def _ref_algebra_error(model: AlgebraModel) -> str | None:
+    pi, names = model.multiplication, model.basis_names
+    es = [basis_vector(model.dim, k) for k in range(model.dim)]
+    for i, j, k in product(range(model.dim), repeat=3):
+        left = evaluate(pi, [evaluate(pi, [es[i], es[j]]), es[k]])
+        right = evaluate(pi, [es[i], evaluate(pi, [es[j], es[k]])])
+        if left != right:
+            return f"associativity fails at ({names[i]}, {names[j]}, {names[k]})"
+    for k in range(model.dim):
+        if evaluate(pi, [model.unit, es[k]]) != es[k] or evaluate(pi, [es[k], model.unit]) != es[k]:
+            return f"unit law fails at basis {names[k]}"
+    return None
+
+
+def _ref_module_error(mod: BanachModuleModel) -> str | None:
+    n, d = mod.algebra.dim, mod.carrier_dim
+    pi, lact, ract = mod.algebra.multiplication, mod.left_action, mod.right_action
+    ea = [basis_vector(n, i) for i in range(n)]
+    ex = [basis_vector(d, i) for i in range(d)]
+    for i, j, m in product(range(n), range(n), range(d)):
+        ab = evaluate(pi, [ea[i], ea[j]])
+        if evaluate(lact, [ab, ex[m]]) != evaluate(lact, [ea[i], evaluate(lact, [ea[j], ex[m]])]):
+            return f"left module law fails at ({i}, {j}, {m})"
+        if evaluate(ract, [ex[m], ab]) != evaluate(ract, [evaluate(ract, [ex[m], ea[i]]), ea[j]]):
+            return f"right module law fails at ({m}, {i}, {j})"
+        if evaluate(lact, [ea[i], evaluate(ract, [ex[m], ea[j]])]) != evaluate(
+            ract, [evaluate(lact, [ea[i], ex[m]]), ea[j]]
+        ):
+            return f"action compatibility fails at ({i}, {m}, {j})"
+    return None
+
+
+def _ref_product_rule_error(pi: MultiMap, delta: MultiMap) -> str | None:
+    n = delta.codomain_dim
+    es = [basis_vector(n, k) for k in range(n)]
+    for a, b in product(range(n), repeat=2):
+        lhs = evaluate(delta, [evaluate(pi, [es[a], es[b]])])
+        rhs = tuple(
+            u + v
+            for u, v in zip(
+                evaluate(pi, [evaluate(delta, [es[a]]), es[b]]).coords,
+                evaluate(pi, [es[a], evaluate(delta, [es[b]])]).coords,
+            )
+        )
+        if lhs.coords != rhs:
+            return f"product rule fails at (x^{a}, x^{b})"
+    return None
+
+
+def character_module(model: AlgebraModel, chi) -> BanachModuleModel:
+    """The algebra acting on a line through a character chi (carrier dim 1)."""
+    n = model.dim
+    lact = from_function("l", (n, 1), 1, lambda l, a, x: chi[a])
+    ract = from_function("r", (1, n), 1, lambda l, x, a: chi[a])
+    return BanachModuleModel(model, 1, lact, ract)
+
+
+def doubled_module(model: AlgebraModel) -> BanachModuleModel:
+    """The algebra acting on two copies of itself (carrier dim 2n)."""
+    n, pi = model.dim, model.multiplication
+
+    def act(l, a, x, left):
+        if l // n != x // n:
+            return 0
+        return pi.entry((l % n, a, x % n) if left else (l % n, x % n, a))
+
+    lact = from_function("l", (n, 2 * n), 2 * n, lambda l, a, x: act(l, a, x, True))
+    ract = from_function("r", (2 * n, n), 2 * n, lambda l, x, a: act(l, a, x, False))
+    return BanachModuleModel(model, 2 * n, lact, ract)
+
+
+ALGEBRAS = {
+    "poly2": truncated_poly_algebra(2)[0],
+    "poly3": truncated_poly_algebra(3)[0],
+    "matrix2": matrix_algebra(2),
+    "z3": group_algebra(cayley_fixture("z3"))[0],
+    "s3": group_algebra(cayley_fixture("s3"))[0],
+}
+
+MODULES = {
+    "poly3-regular": regular_module(ALGEBRAS["poly3"]),
+    "matrix2-regular": regular_module(ALGEBRAS["matrix2"]),
+    "s3-regular": regular_module(ALGEBRAS["s3"]),
+    "poly3-at-zero": character_module(ALGEBRAS["poly3"], (1, 0, 0)),
+    "z3-trivial": character_module(ALGEBRAS["z3"], (1, 1, 1)),
+    "poly2-doubled": doubled_module(ALGEBRAS["poly2"]),
+    "z3-doubled": doubled_module(ALGEBRAS["z3"]),
+}
+
+
+def test_modules_off_the_algebra_dim_are_valid():
+    for name in ("poly3-at-zero", "z3-trivial", "poly2-doubled", "z3-doubled"):
+        mod = MODULES[name]
+        assert mod.carrier_dim != mod.algebra.dim
+        mod.validate()
+        assert _ref_module_error(mod) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(ALGEBRAS)), st.data())
+def test_algebra_validate_matches_basis_scan(name, data):
+    model = ALGEBRAS[name]
+    target = data.draw(st.sampled_from(("pi", "unit")), label="target")
+    if target == "pi":
+        model = AlgebraModel(
+            model.dim, _perturb(data, model.multiplication), model.unit, model.basis_names
+        )
+    else:
+        unit = Vector(_perturbed_entries(data, model.unit.coords))
+        model = AlgebraModel(model.dim, model.multiplication, unit, model.basis_names)
+    assert _error(model.validate) == _ref_algebra_error(model)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(MODULES)), st.data())
+def test_module_validate_matches_basis_scan(name, data):
+    mod = MODULES[name]
+    alg = mod.algebra
+    target = data.draw(st.sampled_from(("pi", "left", "right")), label="target")
+    pi, lact, ract = alg.multiplication, mod.left_action, mod.right_action
+    if target == "pi":
+        pi = _perturb(data, pi)
+    elif target == "left":
+        lact = _perturb(data, lact)
+    else:
+        ract = _perturb(data, ract)
+    mod = BanachModuleModel(
+        AlgebraModel(alg.dim, pi, alg.unit, alg.basis_names), mod.carrier_dim, lact, ract
+    )
+    assert _error(mod.validate) == _ref_module_error(mod)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4), st.data())
+def test_product_rule_matches_basis_scan(n, data):
+    model, delta = truncated_poly_algebra(n)
+    if data.draw(st.booleans(), label="perturb the product"):
+        pi = _perturb(data, model.multiplication)
+    else:
+        pi, delta = model.multiplication, _perturb(data, delta)
+    assert _error(lambda: _check_product_rule(pi, delta)) == _ref_product_rule_error(pi, delta)
+
+
+def test_structure_messages_are_pinned():
+    model = ALGEBRAS["poly3"]
+    pi = model.multiplication
+    bumped = MultiMap(
+        pi.name, 2, pi.input_dims, pi.codomain_dim, pi.axis_labels,
+        tuple(v + (k == 0) for k, v in enumerate(pi.entries)),
+    )
+    bumped_model = AlgebraModel(3, bumped, model.unit, model.basis_names)
+    assert _error(bumped_model.validate) == _ref_algebra_error(bumped_model) == (
+        "associativity fails at (1, 1, x)"
+    )
+    mod = MODULES["poly2-doubled"]
+    ract = mod.right_action
+    bad_right = MultiMap(
+        ract.name, 2, ract.input_dims, ract.codomain_dim, ract.axis_labels,
+        tuple(v + (k == len(ract.entries) - 1) for k, v in enumerate(ract.entries)),
+    )
+    bad = BanachModuleModel(mod.algebra, 4, mod.left_action, bad_right)
+    assert _error(bad.validate) == _ref_module_error(bad) == "right module law fails at (2, 1, 1)"

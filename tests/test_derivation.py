@@ -4,8 +4,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arenscalc.algebra import (
+    AlgebraModel,
+    BanachModuleModel,
     InvalidAlgebra,
     group_algebra,
     cayley_fixture,
@@ -25,6 +28,7 @@ from arenscalc.derivation import (
     right_action_composite,
 )
 from arenscalc.tensor import (
+    MultiMap,
     basis_vector,
     evaluate,
     from_function,
@@ -331,3 +335,149 @@ def test_matrix_inner_delta_is_commutator():
             )
         )
         assert got.coords == want_coords
+
+
+# ---------------------------------------------------------------------------
+# the slot identities as tensor equations, against the basis-quadruple scan
+#
+# The reference restates the scan the witnesses are defined by: every
+# basis quadruple (a, b, c, d) in lexicographic order, one evaluate per
+# term, the first failing quadruple per slot.  Inputs are candidates with
+# at most one entry of D, the product or an action perturbed, including
+# modules whose carrier dim differs from the algebra dim.
+
+
+def _ref_witnesses(cand: TriDerivationCandidate):
+    D = cand.tri_map
+    pi = cand.module.algebra.multiplication
+    lact, ract = cand.module.left_action, cand.module.right_action
+    n = cand.module.algebra.dim
+    es = [basis_vector(n, k) for k in range(n)]
+    witness = [None, None, None]
+    for quad in product(range(n), repeat=4):
+        a, b, c, d = (es[k] for k in quad)
+        right_term = evaluate(ract, [evaluate(D, [a, b, c]), d])
+        for slot, x in enumerate((a, b, c)):
+            if witness[slot] is not None:
+                continue
+            args = [a, b, c]
+            args[slot] = evaluate(pi, [x, d])
+            lhs = evaluate(D, args)
+            args[slot] = d
+            left_term = evaluate(lact, [x, evaluate(D, args)])
+            if lhs.coords != tuple(u + v for u, v in zip(right_term, left_term)):
+                witness[slot] = quad
+    return tuple(witness)
+
+
+def _cubed_point_derivation() -> TriDerivationCandidate:
+    # x^k acts on a line by its value at 0; the product of three point
+    # derivations p -> p'(0) is a tri-derivation into that line
+    model, _ = truncated_poly_algebra(3)
+    chi = (1, 0, 0)
+    lact = from_function("l", (3, 1), 1, lambda l, a, x: chi[a])
+    ract = from_function("r", (1, 3), 1, lambda l, x, a: chi[a])
+    D = from_function("D", (3, 3, 3), 1, lambda l, a, b, c: a == b == c == 1)
+    return TriDerivationCandidate("poly3-at-zero", D, BanachModuleModel(model, 1, lact, ract))
+
+
+def _doubled_euler() -> TriDerivationCandidate:
+    # poly3 acting on two copies of itself, D = (degree-weighted, 0)
+    base = derivation_fixture("poly3-euler")
+    pi = base.module.algebra.multiplication
+
+    def act(l, a, x, left):
+        if l // 3 != x // 3:
+            return 0
+        return pi.entry((l % 3, a, x % 3) if left else (l % 3, x % 3, a))
+
+    lact = from_function("l", (3, 6), 6, lambda l, a, x: act(l, a, x, True))
+    ract = from_function("r", (6, 3), 6, lambda l, x, a: act(l, a, x, False))
+    D = from_function(
+        "D", (3, 3, 3), 6, lambda l, a, b, c: base.tri_map.entry((l, a, b, c)) if l < 3 else 0
+    )
+    mod = BanachModuleModel(base.module.algebra, 6, lact, ract)
+    return TriDerivationCandidate("poly3-doubled", D, mod)
+
+
+CANDIDATES = {name: derivation_fixture(name) for name in FIXTURE_NAMES}
+CANDIDATES["poly3-at-zero"] = _cubed_point_derivation()
+CANDIDATES["poly3-doubled"] = _doubled_euler()
+
+
+def _perturb(data, m: MultiMap) -> MultiMap:
+    pos = data.draw(st.integers(-1, len(m.entries) - 1), label="perturbed position")
+    entries = list(m.entries)
+    if pos >= 0:
+        entries[pos] += data.draw(
+            st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-2, 3))), label="delta"
+        )
+    return MultiMap(m.name, m.arity, m.input_dims, m.codomain_dim, m.axis_labels, tuple(entries))
+
+
+@pytest.mark.parametrize("name", ["poly3-at-zero", "poly3-doubled"])
+def test_candidates_off_the_algebra_dim_hold(name):
+    cand = CANDIDATES[name]
+    assert cand.module.carrier_dim != cand.module.algebra.dim
+    cand.module.validate()
+    assert is_tri_derivation(cand).holds
+    assert _ref_witnesses(cand) == (None, None, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(CANDIDATES)), st.data())
+def test_slot_witnesses_match_basis_scan(name, data):
+    cand = CANDIDATES[name]
+    mod, alg = cand.module, cand.module.algebra
+    D, pi, lact, ract = cand.tri_map, alg.multiplication, mod.left_action, mod.right_action
+    target = data.draw(st.sampled_from(("D", "pi", "L", "R")), label="target")
+    if target == "D":
+        D = _perturb(data, D)
+    elif target == "pi":
+        pi = _perturb(data, pi)
+    elif target == "L":
+        lact = _perturb(data, lact)
+    else:
+        ract = _perturb(data, ract)
+    alg = AlgebraModel(alg.dim, pi, alg.unit, alg.basis_names)
+    cand = TriDerivationCandidate(
+        cand.name, D, BanachModuleModel(alg, mod.carrier_dim, lact, ract)
+    )
+    rep = is_tri_derivation(cand)
+    checks = (rep.first_slot, rep.middle_slot, rep.last_slot)
+    assert tuple(check.witness for check in checks) == _ref_witnesses(cand)
+    assert all(check.ok == (check.witness is None) for check in checks)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_pinned_fixture_witnesses_match_basis_scan(name):
+    rep = is_tri_derivation(CANDIDATES[name])
+    got = (rep.first_slot.witness, rep.middle_slot.witness, rep.last_slot.witness)
+    assert got == _ref_witnesses(CANDIDATES[name])
+
+
+def test_sum_form_matches_its_definition():
+    cand = derivation_fixture("matrix2-inner")
+    pi = cand.module.algebra.multiplication
+    e12 = basis_vector(4, 1)
+    es = [basis_vector(4, k) for k in range(4)]
+
+    def delta(u):
+        return vector(
+            tuple(
+                p - q
+                for p, q in zip(evaluate(pi, [e12, u]).coords, evaluate(pi, [u, e12]).coords)
+            )
+        )
+
+    def term(u, v, w):
+        return evaluate(pi, [evaluate(pi, [u, v]), w]).coords
+
+    for a, b, c in product(es, repeat=3):
+        want = tuple(
+            x + y + z
+            for x, y, z in zip(
+                term(delta(a), b, c), term(a, delta(b), c), term(a, b, delta(c))
+            )
+        )
+        assert evaluate(cand.tri_map, [a, b, c]).coords == want
