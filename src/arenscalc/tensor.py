@@ -315,6 +315,12 @@ def equal(left: MultiMap, right: MultiMap, atol: Fraction | float | None = None)
     return IdentityReport(left.name, right.name, True)
 
 
+def _add_sparse(x: Fraction, y: Fraction) -> Fraction:
+    """x + y without the pure-Python Fraction addition when either is 0;
+    composed structure maps are mostly zeros."""
+    return x + y if x and y else x or y
+
+
 def _first_mismatch_block(inputs: str, lhs, rhs) -> tuple[int, ...] | None:
     """Where two sums of maps, read as functions of common inputs, differ.
 
@@ -336,7 +342,7 @@ def _first_mismatch_block(inputs: str, lhs, rhs) -> tuple[int, ...] | None:
             axes = tuple(1 + names.index(v) for v in inputs) + (0,)
             shapes.add(tuple(m.shape[a] for a in axes))
             vals = _permute(m.entries, m.shape, axes)
-            out = vals if out is None else map(add, out, vals)
+            out = vals if out is None else map(_add_sparse, out, vals)
         return out
 
     left, right = total(lhs), total(rhs)
