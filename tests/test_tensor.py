@@ -437,3 +437,109 @@ def test_long_word_realizes_with_one_transpose(monkeypatch):
     assert got.axis_labels == want.axis_labels
     assert got.entries == want.entries
 
+
+
+# ---------------------------------------------------------------------------
+# oracles for equal, random_map and permutation plans
+
+
+def _equal_reference(left, right, atol=None):
+    """``equal`` restated: align ``right`` through ``transpose``, then scan
+    every index in row-major order."""
+    if left.arity != right.arity:
+        raise ShapeMismatch(f"arity {left.arity} vs {right.arity}")
+    if set(right.axis_labels) != set(left.axis_labels):
+        raise ShapeMismatch(
+            f"cannot align labels {right.axis_labels} to {left.axis_labels}"
+        )
+    aligned = tensor_module.transpose(
+        right, tuple(right.axis_labels.index(lab) for lab in left.axis_labels)
+    )
+    if aligned.shape != left.shape:
+        raise ShapeMismatch(
+            f"dims {left.shape} vs {aligned.shape} after label alignment"
+        )
+    tol = Fraction(0) if atol is None else Fraction(atol)
+    for idx in _basis_tuples(left.shape):
+        a, b = left.entry(idx), aligned.entry(idx)
+        if a != b and abs(a - b) > tol:
+            return tensor_module.IdentityReport(
+                left.name, right.name, False, (idx, str(a), str(b))
+            )
+    return tensor_module.IdentityReport(left.name, right.name, True)
+
+
+PERTURBATIONS = st.sampled_from(
+    [Fraction(1), Fraction(-2, 3), Fraction(1, 10**4), Fraction(-1, 10**12)]
+)
+TOLERANCES = st.sampled_from([None, Fraction(0), Fraction(1, 1000), 1e-9, 0.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_equal_matches_transpose_and_scan_reference(data):
+    arity = data.draw(st.integers(1, 3))
+    left = _fold(data.draw(st.text(WORD_ALPHABET[arity], max_size=4)), _draw_map(data, arity))
+    # the right side: the same map with its axes (codomain included) in
+    # another order, sometimes with fresh but equal Fraction objects
+    axes = tuple(data.draw(st.permutations(range(arity + 1))))
+    right = tensor_module.transpose(left, axes, name="g")
+    entries = list(right.entries)
+    if data.draw(st.booleans()):
+        entries = [Fraction(e.numerator, e.denominator) for e in entries]
+    n_perturbed = data.draw(st.integers(0, min(2, len(entries))))
+    for pos in data.draw(st.lists(
+        st.integers(0, len(entries) - 1), min_size=n_perturbed, max_size=n_perturbed,
+        unique=True,
+    )):
+        entries[pos] += data.draw(PERTURBATIONS)
+    right = MultiMap(
+        right.name, right.arity, right.input_dims, right.codomain_dim,
+        right.axis_labels, tuple(entries),
+    )
+    atol = data.draw(TOLERANCES)
+    assert equal(left, right, atol=atol) == _equal_reference(left, right, atol=atol)
+
+
+def test_equal_shape_mismatch_messages():
+    f = random_map(3, (2, 2, 2), 2, seed=23)
+    with pytest.raises(ShapeMismatch) as exc:
+        equal(f, random_map(2, (2, 2), 2, seed=23))
+    assert str(exc.value) == "arity 3 vs 2"
+    with pytest.raises(ShapeMismatch) as exc:
+        equal(f, adjoint(f))
+    assert str(exc.value) == (
+        "cannot align labels ('in3*', 'out*', 'in1', 'in2') "
+        "to ('out', 'in1', 'in2', 'in3')"
+    )
+    with pytest.raises(ShapeMismatch) as exc:
+        equal(f, flip(random_map(3, (2, 2, 3), 2, seed=23), "t"))
+    assert str(exc.value) == "dims (2, 2, 2, 2) vs (2, 2, 2, 3) after label alignment"
+
+
+def test_random_map_matches_entrywise_build():
+    rng = random.Random(67)
+    for _ in range(200):
+        arity = rng.randint(1, 3)
+        dims = tuple(rng.randint(1, 4) for _ in range(arity))
+        cod = rng.randint(1, 4)
+        seed = rng.randrange(1 << 30)
+        bound = rng.choice((0, 1, 2, 9, 10**6))
+        draws = random.Random(seed)
+        want = from_function(
+            "h", dims, cod, lambda *_: draws.randint(-bound, bound)
+        )
+        got = random_map(arity, dims, cod, seed=seed, entry_bound=bound, name="h")
+        assert got == want
+        assert all(type(e) is Fraction for e in got.entries)
+
+
+def test_permutation_plan_reused_across_maps_of_one_shape():
+    shape = (2, 3, 1, 4)
+    axes = (2, 0, 3, 1)
+    for seed in (71, 72):
+        m = random_map(3, shape[1:], shape[0], seed=seed)
+        got = tensor_module.transpose(m, axes)
+        assert got.shape == tuple(shape[a] for a in axes)
+        for idx in _basis_tuples(shape):
+            assert got.entry(tuple(idx[a] for a in axes)) == m.entry(idx)
