@@ -319,6 +319,13 @@ def regular_module(model: AlgebraModel) -> BanachModuleModel:
 # bilinear extension checks
 
 
+def _extensions(m: MultiMap) -> tuple[MultiMap, MultiMap]:
+    """f^{***} and f^{r***r} of a bilinear map."""
+    if m.arity != 2:
+        raise DimensionMismatch(f"{m.name}: need a bilinear map, got arity {m.arity}")
+    return tuple(realize(ExprAst(m.name, tuple(word)), m) for word in ("***", "r***r"))
+
+
 def arens_products(m: MultiMap) -> tuple[MultiMap, MultiMap]:
     """The two canonical extensions of a bilinear map.
 
@@ -326,10 +333,7 @@ def arens_products(m: MultiMap) -> tuple[MultiMap, MultiMap]:
     that collapse is asserted, so a disagreement signals an axis bug
     rather than genuine irregularity.
     """
-    if m.arity != 2:
-        raise DimensionMismatch(f"{m.name}: need a bilinear map, got arity {m.arity}")
-    first = realize(ExprAst(m.name, ("*", "*", "*")), m)
-    second = realize(ExprAst(m.name, ("r", "*", "*", "*", "r")), m)
+    first, second = _extensions(m)
     for ext in (first, second):
         rep = equal(m, ext)
         if not rep.equal:
@@ -339,11 +343,7 @@ def arens_products(m: MultiMap) -> tuple[MultiMap, MultiMap]:
 
 def regularity_check(m: MultiMap) -> IdentityReport:
     """Compare the two canonical extensions of a bilinear map entrywise."""
-    if m.arity != 2:
-        raise DimensionMismatch(f"{m.name}: need a bilinear map, got arity {m.arity}")
-    first = realize(ExprAst(m.name, ("*", "*", "*")), m)
-    second = realize(ExprAst(m.name, ("r", "*", "*", "*", "r")), m)
-    return equal(first, second)
+    return equal(*_extensions(m))
 
 
 @dataclass(frozen=True)

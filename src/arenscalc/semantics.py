@@ -281,12 +281,8 @@ def classify_text(left: str, right: str, base_arity: int = 3) -> Verdict:
 
 def equality_classes(pairs) -> dict[LimitOrder, LimitOrder]:
     """Union-find closure of asserted order equalities over the six orders."""
-    parent: dict[LimitOrder, LimitOrder] = {
-        order_of_perm(flip_perm(letter, 3) if letter else IDENTITY_PERM): order_of_perm(
-            flip_perm(letter, 3) if letter else IDENTITY_PERM
-        )
-        for letter in EXTENSION_FLIPS
-    }
+    orders = (order_of_perm(flip_perm(c, 3) if c else IDENTITY_PERM) for c in EXTENSION_FLIPS)
+    parent: dict[LimitOrder, LimitOrder] = {order: order for order in orders}
 
     def find(x):
         while parent[x] != x:

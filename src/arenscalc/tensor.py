@@ -15,12 +15,16 @@ so that two realizations are compared slot-order blind.
 
 One strided kernel does the numeric work: ``_permute`` reorders axes by a
 single gather through flat offsets, and ``_contract_last`` contracts the
-fastest axis with a vector.  A word is realized as one permutation: its
+fastest axis with a vector; the offsets of each (shape, axis order) pair
+are built once and cached.  A word is realized as one permutation: its
 operations compose into one axis order plus dual parities, applied by a
 single ``transpose`` and cross-checked against ``semantics.axis_semantics``.
-An identity between sums of composed maps is checked by
-``_first_mismatch_block``, which reads every side with the codomain axis
-last and reports the first differing block as a lexicographic witness.
+``equal`` compares the aligned entries in one tuple comparison, which is
+mostly identity checks since realizations share their base's ``Fraction``
+objects, and scans for the first mismatch only when it fails.  An identity
+between sums of composed maps is checked by ``_first_mismatch_block``,
+which reads every side with the codomain axis last and reports the first
+differing block as a lexicographic witness.
 
 All entries are ``fractions.Fraction`` and all checks are exact.  An
 absolute tolerance can be passed to ``equal`` for data imported from floats;
@@ -31,9 +35,12 @@ from __future__ import annotations
 
 import json
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, count, islice, product
+from math import prod
 from operator import add, ne
 
 from . import semantics
@@ -103,18 +110,16 @@ class MultiMap:
             raise ShapeMismatch(
                 f"{self.name}: arity {self.arity} vs input dims {self.input_dims}"
             )
-        if any(d < 1 for d in self.shape):
-            raise ShapeMismatch(f"{self.name}: dims must be positive: {self.shape}")
+        shape = self.shape
+        if min(shape) < 1:
+            raise ShapeMismatch(f"{self.name}: dims must be positive: {shape}")
         if len(self.axis_labels) != self.arity + 1:
             raise ShapeMismatch(f"{self.name}: need {self.arity + 1} axis labels")
         if len(set(self.axis_labels)) != len(self.axis_labels):
             raise ShapeMismatch(f"{self.name}: axis labels must be unique")
-        expected = 1
-        for d in self.shape:
-            expected *= d
-        if len(self.entries) != expected:
+        if len(self.entries) != prod(shape):
             raise ShapeMismatch(
-                f"{self.name}: {len(self.entries)} entries for shape {self.shape}"
+                f"{self.name}: {len(self.entries)} entries for shape {shape}"
             )
 
     @property
@@ -139,12 +144,9 @@ def from_function(name, input_dims, codomain_dim, fn, labels=None) -> MultiMap:
     return MultiMap(name, len(input_dims), input_dims, codomain_dim, labels, entries)
 
 
-def _permute(entries, shape, new_axes) -> tuple:
-    """Row-major entries with the axes reordered; new axis b is old axis
-    new_axes[b].  One gather through flat offsets built from the old
-    strides."""
-    if tuple(new_axes) == tuple(range(len(shape))):
-        return tuple(entries)
+@lru_cache(maxsize=512)
+def _plan(shape: tuple[int, ...], new_axes: tuple[int, ...]) -> array:
+    """Flat offsets that read row-major entries of ``shape`` in ``new_axes`` order."""
     strides = [1] * len(shape)
     for k in range(len(shape) - 1, 0, -1):
         strides[k - 1] = strides[k] * shape[k]
@@ -152,7 +154,16 @@ def _permute(entries, shape, new_axes) -> tuple:
     for a in new_axes:
         stride, size = strides[a], shape[a]
         offs = [o + i * stride for o in offs for i in range(size)]
-    return tuple(map(entries.__getitem__, offs))
+    return array("q", offs)
+
+
+def _permute(entries, shape, new_axes) -> tuple:
+    """Row-major entries with the axes reordered; new axis b is old axis
+    new_axes[b].  One gather through the cached plan of the pair."""
+    new_axes = tuple(new_axes)
+    if new_axes == tuple(range(len(shape))):
+        return tuple(entries)
+    return tuple(map(entries.__getitem__, _plan(tuple(shape), new_axes)))
 
 
 def _contract_last(vals, x) -> list | tuple:
@@ -174,15 +185,18 @@ def _slot_last(m: MultiMap, axis: int) -> tuple:
     return _permute(m.entries, m.shape, rest + (axis,))
 
 
-def transpose(m: MultiMap, new_axes: tuple[int, ...], name: str | None = None) -> MultiMap:
+def transpose(m: MultiMap, new_axes, name=None, labels=None) -> MultiMap:
     """Reorder all axes (codomain included); new axis b draws old axis
-    new_axes[b].  Axis 0 of the result is its codomain."""
+    new_axes[b].  Axis 0 of the result is its codomain.  The result's
+    labels default to the moved labels of ``m``."""
     if sorted(new_axes) != list(range(m.arity + 1)):
         raise ShapeMismatch(f"bad axis order {new_axes} for arity {m.arity}")
     new_shape = tuple(m.shape[a] for a in new_axes)
+    if labels is None:
+        labels = tuple(m.axis_labels[a] for a in new_axes)
     return MultiMap(
         name if name is not None else m.name, m.arity, new_shape[1:], new_shape[0],
-        tuple(m.axis_labels[a] for a in new_axes), _permute(m.entries, m.shape, new_axes),
+        labels, _permute(m.entries, m.shape, new_axes),
     )
 
 
@@ -191,14 +205,9 @@ def adjoint(m: MultiMap) -> MultiMap:
     codomain and the old codomain becomes the first input; both pick up a
     dual star."""
     n = m.arity
-    moved = transpose(m, (n,) + tuple(range(n)), name=m.name + "*")
-    labels = list(moved.axis_labels)
-    labels[0] = toggle_dual(labels[0])
-    labels[1] = toggle_dual(labels[1])
-    return MultiMap(
-        moved.name, moved.arity, moved.input_dims, moved.codomain_dim,
-        tuple(labels), moved.entries,
-    )
+    labels = m.axis_labels
+    labels = (toggle_dual(labels[n]), toggle_dual(labels[0])) + labels[1:n]
+    return transpose(m, (n,) + tuple(range(n)), name=m.name + "*", labels=labels)
 
 
 def flip(m: MultiMap, letter: str) -> MultiMap:
@@ -264,19 +273,9 @@ def realize(expr: ExprAst, base: MultiMap) -> MultiMap:
             f"axis bookkeeping drift for {expr.render()}: "
             f"tensor says {labels}, assignment says {want}"
         )
-    out = transpose(base, tuple(axes), name=ExprAst(base.name, expr.ops).render())
-    return MultiMap(
-        out.name, out.arity, out.input_dims, out.codomain_dim, labels, out.entries,
+    return transpose(
+        base, tuple(axes), name=ExprAst(base.name, expr.ops).render(), labels=labels,
     )
-
-
-def align_like(m: MultiMap, target_labels: tuple[str, ...]) -> MultiMap:
-    if set(m.axis_labels) != set(target_labels):
-        raise ShapeMismatch(
-            f"cannot align labels {m.axis_labels} to {target_labels}"
-        )
-    new_axes = tuple(m.axis_labels.index(lab) for lab in target_labels)
-    return transpose(m, new_axes)
 
 
 @dataclass(frozen=True)
@@ -300,13 +299,19 @@ def equal(left: MultiMap, right: MultiMap, atol: Fraction | float | None = None)
     """Entrywise comparison after aligning the right map's axes by label."""
     if left.arity != right.arity:
         raise ShapeMismatch(f"arity {left.arity} vs {right.arity}")
-    aligned = align_like(right, left.axis_labels)
-    if aligned.shape != left.shape:
+    if set(right.axis_labels) != set(left.axis_labels):
         raise ShapeMismatch(
-            f"dims {left.shape} vs {aligned.shape} after label alignment"
+            f"cannot align labels {right.axis_labels} to {left.axis_labels}"
         )
+    axes = tuple(map(right.axis_labels.index, left.axis_labels))
+    shape = tuple(right.shape[a] for a in axes)
+    if shape != left.shape:
+        raise ShapeMismatch(f"dims {left.shape} vs {shape} after label alignment")
+    aligned = _permute(right.entries, right.shape, axes)
+    if left.entries == aligned:
+        return IdentityReport(left.name, right.name, True)
     tol = Fraction(0) if atol is None else Fraction(atol)
-    for pos, (a, b) in enumerate(zip(left.entries, aligned.entries)):
+    for pos, (a, b) in enumerate(zip(left.entries, aligned)):
         if a != b and abs(a - b) > tol:
             idx = next(islice(product(*(range(d) for d in left.shape)), pos, None))
             return IdentityReport(
@@ -356,12 +361,12 @@ def _first_mismatch_block(inputs: str, lhs, rhs) -> tuple[int, ...] | None:
 
 
 def random_map(arity, input_dims, codomain_dim, seed, entry_bound=9, name="f") -> MultiMap:
-    """Deterministic random integer-entried map for a given seed."""
-    rng = random.Random(seed)
-    return from_function(
-        name, input_dims, codomain_dim,
-        lambda *_: rng.randint(-entry_bound, entry_bound),
-    )
+    """Deterministic random integer-entried map for a given seed; entries
+    are drawn in row-major order."""
+    rng, dims = random.Random(seed), tuple(input_dims)
+    draws = (rng.randint(-entry_bound, entry_bound) for _ in range(codomain_dim * prod(dims)))
+    labels = default_labels(len(dims))
+    return MultiMap(name, len(dims), dims, codomain_dim, labels, tuple(map(Fraction, draws)))
 
 
 def compose_into_slot(outer: MultiMap, inner: MultiMap, slot: int, name=None) -> MultiMap:
@@ -458,9 +463,7 @@ def to_dict(m: MultiMap) -> dict:
 
 
 def _entry_from_json(v) -> Fraction:
-    if isinstance(v, str) or isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
+    if isinstance(v, (str, int, float)):
         return Fraction(v)
     raise ShapeMismatch(f"bad entry {v!r} in map file")
 

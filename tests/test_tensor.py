@@ -537,9 +537,12 @@ def test_random_map_matches_entrywise_build():
 def test_permutation_plan_reused_across_maps_of_one_shape():
     shape = (2, 3, 1, 4)
     axes = (2, 0, 3, 1)
+    tensor_module._plan.cache_clear()
     for seed in (71, 72):
         m = random_map(3, shape[1:], shape[0], seed=seed)
         got = tensor_module.transpose(m, axes)
         assert got.shape == tuple(shape[a] for a in axes)
         for idx in _basis_tuples(shape):
             assert got.entry(tuple(idx[a] for a in axes)) == m.entry(idx)
+    info = tensor_module._plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
