@@ -1,8 +1,19 @@
 from __future__ import annotations
 
-import pytest
+from itertools import combinations
 
-from arenscalc.expr import FlipArityMismatch, parse
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from arenscalc.expr import (
+    FLIP_PERMS,
+    IDENTITY_PERM,
+    ExprAst,
+    FlipArityMismatch,
+    compose_flips,
+    flip_perm,
+    parse,
+)
 from arenscalc.semantics import (
     DISTINCT,
     EQUAL_IFF,
@@ -214,3 +225,89 @@ def test_classify_respects_equivalence_through_trailing_flips():
     # same leading flip, different trailing flips: same order, equal outright
     v = classify(parse("f^{t****s}"), parse("f^{t****i}"))
     assert v.kind == UNCOND_EQUAL
+
+
+# ---------------------------------------------------------------------------
+# restated references: the condition table as typed out by hand, and the
+# limit-order state machine, both checked against the derived versions
+
+AXES = ("in1", "in2", "in3")
+
+# unordered pair of leading-flip permutations -> flip of the base map whose
+# close-to-regularity the interchange amounts to ("" = the base map itself)
+HAND_CTR_TABLE = {
+    frozenset({FLIP_PERMS["t"], FLIP_PERMS["s"]}): "",
+    frozenset({FLIP_PERMS["i"], FLIP_PERMS["j"]}): "r",
+    frozenset({FLIP_PERMS["j"], FLIP_PERMS["r"]}): "i",
+    frozenset({FLIP_PERMS["i"], FLIP_PERMS["r"]}): "j",
+    frozenset({FLIP_PERMS["s"], IDENTITY_PERM}): "t",
+    frozenset({FLIP_PERMS["t"], IDENTITY_PERM}): "s",
+}
+
+
+def _hand_condition_name(order_a, order_b, base="f"):
+    key = frozenset(tuple(AXES.index(axis) for axis in order) for order in (order_a, order_b))
+    letter = HAND_CTR_TABLE.get(key)
+    if letter is None:
+        lo, hi = sorted((order_a, order_b))
+        return f"limit-interchange(({','.join(lo)}),({','.join(hi)}))"
+    return f"close-to-regular({base})" if letter == "" else f"close-to-regular({base}^{letter})"
+
+
+def test_condition_name_matches_hand_table_on_all_pairs():
+    orders = list(GOLDEN_ORDERS.values())
+    pairs = list(combinations(orders, 2))
+    assert len(pairs) == 15
+    named = 0
+    for a, b in pairs:
+        for base in ("f", "D"):
+            want = _hand_condition_name(a, b, base)
+            assert condition_name(a, b, base) == want, (a, b)
+            assert condition_name(b, a, base) == want, (b, a)
+        named += want.startswith("close-to-regular(")
+    assert named == 6
+
+
+def _state_machine_limit_order(ops):
+    lead = IDENTITY_PERM
+    adjoints = 0
+    state = "lead"
+    for op in ops:
+        if op == "*":
+            if state == "trail":
+                return None
+            state = "adj"
+            adjoints += 1
+        else:
+            perm = flip_perm(op, 3)
+            if state == "lead":
+                lead = compose_flips(lead, perm)
+            else:
+                state = "trail"
+    if adjoints != 4:
+        return None
+    return tuple(AXES[k] for k in lead)
+
+
+# flip runs joined by adjoints: 0-6 adjoints with flips before, between
+# and after them
+_flip_runs = st.lists(st.text(alphabet="ijrts", max_size=3), min_size=1, max_size=7)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_flip_runs)
+def test_limit_order_matches_state_machine(runs):
+    ops = tuple("*".join(runs))
+    assert limit_order(ExprAst("f", ops)) == _state_machine_limit_order(ops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(alphabet="ijrts", max_size=4),
+    st.lists(st.text(alphabet="ijrts", max_size=2), min_size=3, max_size=3),
+    st.text(alphabet="ijrts", max_size=4),
+)
+def test_limit_order_four_adjoints_matches_state_machine(lead, between, trail):
+    # flips between the adjoints are the case the canonical test rules out
+    ops = tuple(lead + "*" + "*".join(between) + "*" + trail)
+    assert limit_order(ExprAst("f", ops)) == _state_machine_limit_order(ops)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
+from arenscalc import suites
 from arenscalc.expr import ExprAst, parse
 from arenscalc.suites import (
     CHAIN_GROUPS,
@@ -10,6 +13,9 @@ from arenscalc.suites import (
     SuiteSection,
     full_suite,
     render_report,
+    run_chain_suite,
+    run_extension_sweep,
+    run_group_fixture_suite,
 )
 from arenscalc.tensor import random_map, realize
 
@@ -63,6 +69,60 @@ def test_full_suite_section_order_is_stable():
         "Adjoint pairing identity",
     ]
     assert all(s.passed for s in sections)
+
+
+def _break_s_extension(monkeypatch):
+    """Make f^{s****t} disagree with the other extensions, in entry 0,
+    on maps whose first input has dimension 3."""
+
+    def perturbed(expr, m):
+        out = realize(expr, m)
+        if expr.ops == tuple("s****t") and m.input_dims[0] == 3:
+            out = dataclasses.replace(out, entries=(out.entries[0] + 1,) + out.entries[1:])
+        return out
+
+    monkeypatch.setattr(suites, "realize", perturbed)
+
+
+def test_sweep_failure_detail_is_pinned(monkeypatch):
+    _break_s_extension(monkeypatch)
+    (row,) = run_extension_sweep(0, trials=6).rows
+    assert row == SuiteRow(
+        "all six realized extensions coincide",
+        False,
+        "4/6 trials; first failure: trial 2: "
+        "FAIL  f^{i****i} != f^{s****t} at index [0, 0, 0, 0]: 2 vs 3",
+    )
+
+
+def test_chain_failure_details_are_pinned(monkeypatch):
+    _break_s_extension(monkeypatch)
+    rows = run_chain_suite(1, instances=4).rows
+    assert len(rows) == 17
+    failed = [row for row in rows if not row.passed]
+    assert failed == [
+        SuiteRow(
+            "[close-to-regular criteria] f^{s****t} = f^{t****s}",
+            False,
+            "instance 0: FAIL  f^{s****t} != f^{t****s} at index [0, 0, 0, 0]: 4 vs 3",
+        ),
+        SuiteRow(
+            "[limit interchange] f^{****} = f^{s****t}",
+            False,
+            "instance 2: FAIL  f^{****} != f^{s****t} at index [0, 0, 0, 0]: 7 vs 8",
+        ),
+    ]
+    assert all(row.detail == "4/4 instances" for row in rows if row.passed)
+
+
+def test_group_failure_detail_is_pinned(monkeypatch):
+    _break_s_extension(monkeypatch)
+    rows = run_group_fixture_suite().rows
+    assert [row.name for row in rows if not row.passed] == ["z3: six extensions coincide"]
+    assert rows[2].detail == (
+        "FAIL  conv3^{i****i} != conv3^{s****t} at index [0, 0, 0, 0]: 1 vs 2"
+    )
+    assert rows[0] == SuiteRow("z2: six extensions coincide", True, "")
 
 
 # every word in the operation alphabet realizes to a well-formed tensor
