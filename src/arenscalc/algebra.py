@@ -23,7 +23,6 @@ them sharp regression tests for the axis bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice, permutations, product
 
 from .expr import ExprAst
@@ -134,19 +133,21 @@ def _sym3() -> CayleyTable:
     return CayleyTable(6, rows, 0)
 
 
-GROUP_FIXTURES = ("z2", "z3", "z4", "s3")
+_GROUP_BUILDERS = {
+    "z2": lambda: _cyclic(2),
+    "z3": lambda: _cyclic(3),
+    "z4": lambda: _cyclic(4),
+    "s3": _sym3,
+}
+GROUP_FIXTURES = tuple(_GROUP_BUILDERS)
 
 
 def cayley_fixture(name: str) -> CayleyTable:
-    if name == "z2":
-        return _cyclic(2)
-    if name == "z3":
-        return _cyclic(3)
-    if name == "z4":
-        return _cyclic(4)
-    if name == "s3":
-        return _sym3()
-    raise InvalidCayleyTable(f"unknown group fixture {name!r}")
+    try:
+        build = _GROUP_BUILDERS[name]
+    except KeyError:
+        raise InvalidCayleyTable(f"unknown group fixture {name!r}") from None
+    return build()
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ IDENTITY_FAILED = 1
 USAGE_ERROR = 2
 
 MAX_DIM = 6
+ARITIES = (1, 2, 3)
 
 
 class CliError(Exception):
@@ -153,13 +154,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_parse = sub.add_parser("parse", help="render an expression and its signature")
     p_parse.add_argument("expr")
-    p_parse.add_argument("--arity", type=int, choices=(1, 2, 3), default=3)
+    p_parse.add_argument("--arity", type=int, choices=ARITIES, default=3)
     p_parse.set_defaults(run=_cmd_parse)
 
     p_cls = sub.add_parser("classify", help="symbolic equality verdict")
     p_cls.add_argument("expr1")
     p_cls.add_argument("expr2")
-    p_cls.add_argument("--arity", type=int, choices=(2, 3), default=3)
+    p_cls.add_argument("--arity", type=int, choices=ARITIES, default=3)
     p_cls.set_defaults(run=_cmd_classify)
 
     p_chk = sub.add_parser("check", help="numeric identity check on a base map")

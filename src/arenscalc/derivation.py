@@ -202,18 +202,24 @@ def _extensions(m: MultiMap, leads) -> dict[str, MultiMap]:
     return {lead: realize(extension_expr(lead, m.name), m) for lead in leads}
 
 
-def _family_rows(
-    cand: TriDerivationCandidate,
-    build,
-    count: int,
-    pairs: list[tuple[str, str, str]],
-) -> list[Row]:
+def _families(cand: TriDerivationCandidate):
+    """The right-action and dual-action composite families of a candidate,
+    each as (builder for one basis index, basis size)."""
+    n, d = cand.module.algebra.dim, cand.module.carrier_dim
+    return (
+        (lambda k: right_action_composite(cand, basis_vector(n, k), name=f"rc{k}"), n),
+        (lambda k: dual_action_composite(cand, basis_vector(d, k), name=f"dc{k}"), d),
+    )
+
+
+def _family_rows(family, pairs: list[tuple[str, str, str]]) -> list[Row]:
     """Check extension equalities of a composite family over a basis.
 
-    ``build`` makes the composite for one basis index; ``pairs`` lists
-    (row label, lead letter, lead letter) equalities to verify for all
-    of them.  One report row per pair, aggregated across the basis.
+    ``family`` is one of ``_families``; ``pairs`` lists (row label, lead
+    letter, lead letter) equalities to verify for every composite of it.
+    One report row per pair, aggregated across the basis.
     """
+    build, count = family
     leads = {lead for _, la, lb in pairs for lead in (la, lb)}
 
     def results():
@@ -248,8 +254,6 @@ def composite_extension_checks(cand: TriDerivationCandidate) -> list[Row]:
         rep = equal(dexts[la], dexts[lb])
         rows.append((label, rep.equal, rep.render()))
 
-    n = cand.module.algebra.dim
-    d = cand.module.carrier_dim
     item_pairs = [
         ("item 1: plain equals t-conjugated", "", "t"),
         ("item 1: r-conjugated equals i-conjugated", "r", "i"),
@@ -258,19 +262,11 @@ def composite_extension_checks(cand: TriDerivationCandidate) -> list[Row]:
         ("item 3: plain equals i-conjugated (repeat)", "", "i"),
         ("item 4: plain equals r-conjugated", "", "r"),
     ]
-    phi_rows = _family_rows(
-        cand,
-        lambda k: right_action_composite(cand, basis_vector(n, k), name=f"rc{k}"),
-        n,
-        [(f"right composites, {lbl}", la, lb) for lbl, la, lb in item_pairs],
-    )
-    psi_rows = _family_rows(
-        cand,
-        lambda k: dual_action_composite(cand, basis_vector(d, k), name=f"dc{k}"),
-        d,
-        [(f"dual composites, {lbl}", la, lb) for lbl, la, lb in item_pairs],
-    )
-    return rows + phi_rows + psi_rows
+    for family, side in zip(_families(cand), ("right", "dual")):
+        rows += _family_rows(
+            family, [(f"{side} composites, {lbl}", la, lb) for lbl, la, lb in item_pairs]
+        )
+    return rows
 
 
 def fourth_adjoint_check(cand: TriDerivationCandidate) -> list[Row]:
@@ -319,20 +315,16 @@ def fourth_adjoint_check(cand: TriDerivationCandidate) -> list[Row]:
             )
         )
 
-    n, d = alg.dim, cand.module.carrier_dim
+    right, dual = _families(cand)
     rows += _family_rows(
-        cand,
-        lambda k: right_action_composite(cand, basis_vector(n, k), name=f"rc{k}"),
-        n,
+        right,
         [
             ("right composites: r-conjugated equals i-conjugated", "r", "i"),
             ("right composites: i-conjugated equals s-conjugated", "i", "s"),
         ],
     )
     rows += _family_rows(
-        cand,
-        lambda k: dual_action_composite(cand, basis_vector(d, k), name=f"dc{k}"),
-        d,
+        dual,
         [
             ("dual composites: j-conjugated equals t-conjugated", "j", "t"),
             ("dual composites: t-conjugated equals plain", "t", ""),
@@ -407,14 +399,13 @@ def _matrix2_inner() -> TriDerivationCandidate:
     return TriDerivationCandidate("matrix2-inner", D, mod)
 
 
-FIXTURE_NAMES = ("zero", "poly3-euler", "z3-conv", "matrix2-inner")
-
 _FIXTURE_BUILDERS = {
     "zero": _zero,
     "poly3-euler": _poly3_euler,
     "z3-conv": _z3_conv,
     "matrix2-inner": _matrix2_inner,
 }
+FIXTURE_NAMES = tuple(_FIXTURE_BUILDERS)
 
 
 def derivation_fixture(name: str) -> TriDerivationCandidate:

@@ -16,9 +16,11 @@ of the base map along bounded nets, outermost first.  Read in base-axis
 names, that order is just p itself; the trailing flip only renames slots.
 Two such extensions with the same limit order are equal outright; with
 different limit orders they are equal exactly when the corresponding limit
-interchange is permitted, and the six interchange conditions that come from
-conjugating by a flip all reduce to close-to-regularity of a flipped base
-map.  Everything else the symbolic layer refuses to decide.
+interchange is permitted.  Close-to-regularity of f is the interchange
+f^{t****s} = f^{s****t}; conjugating that pair by a flip p gives the pair
+with leading flips p.t and p.s, whose interchange is close-to-regularity of
+f^p.  The table of named conditions is built that way, one entry per flip.
+Everything else the symbolic layer refuses to decide.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 from .expr import (
     ADJOINT,
     ExprAst,
+    FLIP_LETTERS,
     FLIP_PERMS,
     IDENTITY_PERM,
     PERM_NAMES,
@@ -48,10 +51,6 @@ LimitOrder = tuple[str, str, str]
 
 def order_of_perm(perm: Perm) -> LimitOrder:
     return tuple(INPUT_AXES[k] for k in perm)  # type: ignore[return-value]
-
-
-def perm_of_order(order: LimitOrder) -> Perm:
-    return tuple(INPUT_AXES.index(axis) for axis in order)
 
 
 @dataclass(frozen=True)
@@ -101,28 +100,16 @@ def axis_semantics(expr: ExprAst, base_arity: int = 3) -> AxisAssignment:
 def limit_order(expr: ExprAst) -> LimitOrder | None:
     """Iterated limit order (outermost first) of a canonical extension.
 
-    Canonical means the operations normalize to  flips, four adjoints,
-    flips.  Leading flips compose into a single permutation p and the order
-    is p read in base-axis names; trailing flips only rename slots and do
-    not affect the order.  Returns None for every other shape.
+    Canonical means the operations are  flips, four adjoints, flips.
+    Leading flips compose into a single permutation p and the order is p
+    read in base-axis names; trailing flips only rename slots and do not
+    affect the order.  Returns None for every other shape.
     """
-    lead: Perm = IDENTITY_PERM
-    adjoints = 0
-    state = "lead"
-    for op in expr.ops:
-        if op == ADJOINT:
-            if state == "trail":
-                return None
-            state = "adj"
-            adjoints += 1
-        else:
-            perm = flip_perm(op, 3)
-            if state == "lead":
-                lead = compose_flips(lead, perm)
-            else:
-                state = "trail"
-    if adjoints != 4:
+    if "".join(expr.ops).strip(FLIP_LETTERS) != ADJOINT * 4:
         return None
+    lead: Perm = IDENTITY_PERM
+    for op in expr.ops[: expr.ops.index(ADJOINT)]:
+        lead = compose_flips(lead, FLIP_PERMS[op])
     return order_of_perm(lead)
 
 
@@ -167,21 +154,16 @@ def _normalized_ops(expr: ExprAst) -> tuple:
     return tuple(out)
 
 
-# interchange conditions that collapse to close-to-regularity of a flipped
-# base map; keyed by the unordered pair of leading-flip permutations
+# close-to-regularity of f^p, keyed by the unordered pair of limit orders of
+# the defining pair f^{t****s}, f^{s****t} conjugated by p ("" = identity)
 _CTR_TABLE: dict[frozenset, str] = {
-    frozenset({FLIP_PERMS["t"], FLIP_PERMS["s"]}): "",
-    frozenset({FLIP_PERMS["i"], FLIP_PERMS["j"]}): "r",
-    frozenset({FLIP_PERMS["j"], FLIP_PERMS["r"]}): "i",
-    frozenset({FLIP_PERMS["i"], FLIP_PERMS["r"]}): "j",
-    frozenset({FLIP_PERMS["s"], IDENTITY_PERM}): "t",
-    frozenset({FLIP_PERMS["t"], IDENTITY_PERM}): "s",
+    frozenset(order_of_perm(compose_flips(perm, FLIP_PERMS[q])) for q in "ts"): letter
+    for perm, letter in PERM_NAMES.items()
 }
 
 
 def condition_name(order_a: LimitOrder, order_b: LimitOrder, base: str = "f") -> str:
-    key = frozenset({perm_of_order(order_a), perm_of_order(order_b)})
-    letter = _CTR_TABLE.get(key)
+    letter = _CTR_TABLE.get(frozenset({order_a, order_b}))
     if letter is None:
         lo, hi = sorted((order_a, order_b))
         return f"limit-interchange(({','.join(lo)}),({','.join(hi)}))"
@@ -281,8 +263,7 @@ def classify_text(left: str, right: str, base_arity: int = 3) -> Verdict:
 
 def equality_classes(pairs) -> dict[LimitOrder, LimitOrder]:
     """Union-find closure of asserted order equalities over the six orders."""
-    orders = (order_of_perm(flip_perm(c, 3) if c else IDENTITY_PERM) for c in EXTENSION_FLIPS)
-    parent: dict[LimitOrder, LimitOrder] = {order: order for order in orders}
+    parent: dict[LimitOrder, LimitOrder] = {order: order for _, order in natural_extensions()}
 
     def find(x):
         while parent[x] != x:
@@ -307,11 +288,7 @@ def entails(premises, conclusion: tuple[LimitOrder, LimitOrder]) -> bool:
 def complete_regularity_premises() -> list[tuple[LimitOrder, LimitOrder]]:
     """Pairs asserting that all six extensions coincide."""
     base = order_of_perm(IDENTITY_PERM)
-    return [
-        (base, order_of_perm(flip_perm(letter, 3)))
-        for letter in EXTENSION_FLIPS
-        if letter
-    ]
+    return [(base, order) for _, order in natural_extensions() if order != base]
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .semantics import (
     natural_extensions,
 )
 from .tensor import (
+    MultiMap,
     adjoint,
     build_factored,
     compose_codomain,
@@ -142,6 +143,17 @@ def _rand_tri(rng: random.Random, fixed: Dims = None, name: str = "f"):
     return random_map(3, (dx, dy, dz), dw, seed=rng.randrange(1 << 30), name=name)
 
 
+def _six_disagree(f: MultiMap) -> str:
+    """First failure among the six extensions of f, each compared with
+    the first; empty when all six coincide."""
+    first, *others = [realize(expr, f) for expr, _ in natural_extensions(f.name)]
+    for other in others:
+        rep = equal(first, other)
+        if not rep.equal:
+            return rep.render()
+    return ""
+
+
 def run_limit_order_goldens() -> SuiteSection:
     rows = []
     for expr, order in natural_extensions("f"):
@@ -167,7 +179,7 @@ def run_symbolic_suite() -> SuiteSection:
                 row.condition,
             )
         )
-    for a, b in (("f^{i****i}", "f^{rs****t}"), ("f^{j****j}", "f^{rt****s}")):
+    for a, b in dict(CHAIN_GROUPS)["conjugation pullbacks"]:
         verdict = classify_text(a, b)
         rows.append(
             SuiteRow(f"{a} = {b}", verdict.kind == UNCOND_EQUAL, verdict.render())
@@ -179,13 +191,9 @@ def run_extension_sweep(seed: int, trials: int = 100, dims: Dims = None) -> Suit
     rng = random.Random(seed)
     failures = []
     for k in range(trials):
-        f = _rand_tri(rng, dims)
-        exts = [realize(expr, f) for expr, _ in natural_extensions("f")]
-        for other in exts[1:]:
-            rep = equal(exts[0], other)
-            if not rep.equal:
-                failures.append(f"trial {k}: {rep.render()}")
-                break
+        bad = _six_disagree(_rand_tri(rng, dims))
+        if bad:
+            failures.append(f"trial {k}: {bad}")
     detail = f"{trials - len(failures)}/{trials} trials"
     if failures:
         detail += "; first failure: " + failures[0]
@@ -197,27 +205,19 @@ def run_extension_sweep(seed: int, trials: int = 100, dims: Dims = None) -> Suit
 
 def run_chain_suite(seed: int, instances: int = 25, dims: Dims = None) -> SuiteSection:
     rng = random.Random(seed)
-    rows = []
-    for group, pairs in CHAIN_GROUPS:
-        for lhs_text, rhs_text in pairs:
-            lhs_expr, rhs_expr = parse(lhs_text), parse(rhs_text)
-            failure = ""
-            good = 0
-            for k in range(instances):
-                f = _rand_tri(rng, dims)
-                rep = equal(realize(lhs_expr, f), realize(rhs_expr, f))
-                if rep.equal:
-                    good += 1
-                elif not failure:
-                    failure = f"instance {k}: {rep.render()}"
-            rows.append(
-                SuiteRow(
-                    f"[{group}] {lhs_text} = {rhs_text}",
-                    good == instances,
-                    failure or f"{good}/{instances} instances",
-                )
-            )
-    return SuiteSection("Proof-chain identities", tuple(rows))
+
+    def results():
+        for group, pairs in CHAIN_GROUPS:
+            for lhs_text, rhs_text in pairs:
+                label = f"[{group}] {lhs_text} = {rhs_text}"
+                lhs_expr, rhs_expr = parse(lhs_text), parse(rhs_text)
+                for k in range(instances):
+                    f = _rand_tri(rng, dims)
+                    rep = equal(realize(lhs_expr, f), realize(rhs_expr, f))
+                    yield label, rep.equal, f"instance {k}: {rep.render()}"
+
+    rows = tally_rows(results(), f"{instances}/{instances} instances")
+    return SuiteSection("Proof-chain identities", tuple(SuiteRow(*r) for r in rows))
 
 
 def run_factorization_suite(
@@ -335,13 +335,7 @@ def run_group_fixture_suite(names=GROUP_FIXTURES) -> SuiteSection:
     rows = []
     for name in names:
         model, triple = group_algebra(cayley_fixture(name))
-        exts = [realize(expr, triple) for expr, _ in natural_extensions(triple.name)]
-        bad = ""
-        for other in exts[1:]:
-            rep = equal(exts[0], other)
-            if not rep.equal:
-                bad = rep.render()
-                break
+        bad = _six_disagree(triple)
         rows.append(SuiteRow(f"{name}: six extensions coincide", not bad, bad))
         pi = model.multiplication
         stacked = compose_into_slot(pi, pi, 1, name="pipi")
@@ -358,22 +352,17 @@ def run_derivation_suite() -> SuiteSection:
         cand = derivation_fixture(name)
         rep = is_tri_derivation(cand)
         rows.append(SuiteRow(f"{name}: slot identities hold", rep.holds, rep.render()))
-        harness = fourth_adjoint_check(cand)
-        rows.append(
-            SuiteRow(
-                f"{name}: fourth-adjoint harness ({len(harness)} checks)",
-                all(ok for _, ok, _ in harness),
-                "; ".join(lbl for lbl, ok, _ in harness if not ok) or "all passed",
+        for title, checks in (
+            ("fourth-adjoint harness", fourth_adjoint_check(cand)),
+            ("composite extension statements", composite_extension_checks(cand)),
+        ):
+            rows.append(
+                SuiteRow(
+                    f"{name}: {title} ({len(checks)} checks)",
+                    all(ok for _, ok, _ in checks),
+                    "; ".join(lbl for lbl, ok, _ in checks if not ok) or "all passed",
+                )
             )
-        )
-        ext_checks = composite_extension_checks(cand)
-        rows.append(
-            SuiteRow(
-                f"{name}: composite extension statements ({len(ext_checks)} checks)",
-                all(ok for _, ok, _ in ext_checks),
-                "; ".join(lbl for lbl, ok, _ in ext_checks if not ok) or "all passed",
-            )
-        )
     for name in ("z3-conv", "matrix2-inner"):
         cand = derivation_fixture(name)
         rep = is_tri_derivation(cand)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -463,8 +464,13 @@ def to_dict(m: MultiMap) -> dict:
     }
 
 
+# the form to_dict writes; Fraction alone would also take exponents such as
+# "1e999999999", whose expansion takes time that grows with the exponent
+_ENTRY_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _entry_from_json(v) -> Fraction:
-    if isinstance(v, (str, int, float)):
+    if isinstance(v, (int, float)) or (isinstance(v, str) and _ENTRY_TEXT.fullmatch(v)):
         return Fraction(v)
     raise ShapeMismatch(f"bad entry {v!r} in map file")
 
@@ -479,7 +485,7 @@ def from_dict(d: dict) -> MultiMap:
             axis_labels=tuple(d["axis_labels"]),
             entries=tuple(_entry_from_json(v) for v in d["entries"]),
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ShapeMismatch(f"malformed map data: {exc}") from exc
 
 

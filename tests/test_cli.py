@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -50,6 +51,11 @@ def test_classify_close_to_regular(capsys):
 
 def test_classify_unconditional(capsys):
     assert main(["classify", "f^{i****i}", "f^{rs****t}"]) == 0
+    assert capsys.readouterr().out.strip() == "UNCOND-EQUAL"
+
+
+def test_classify_arity_one(capsys):
+    assert main(["classify", "f^{**}", "f^{**}", "--arity", "1"]) == 0
     assert capsys.readouterr().out.strip() == "UNCOND-EQUAL"
 
 
@@ -142,6 +148,21 @@ def test_check_map_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "f", "entries": [')
     assert main(["check", "f", "f", "--map", str(path)]) == 2
+
+
+@pytest.mark.parametrize("entry", ['"1e999999999"', "1e999", "NaN"])
+def test_check_map_hostile_entry_exits_fast_with_one_error_line(tmp_path, capsys, entry):
+    path = tmp_path / "m.json"
+    path.write_text(
+        '{"name": "f", "arity": 1, "input_dims": [1], "codomain_dim": 1, '
+        f'"axis_labels": ["out", "in1"], "entries": [{entry}]}}'
+    )
+    start = time.perf_counter()
+    assert main(["check", "f^{**}", "f", "--map", str(path)]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ShapeMismatch: ")
 
 
 def test_check_map_missing_file(capsys):

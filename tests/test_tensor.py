@@ -261,6 +261,16 @@ def test_malformed_map_data_is_rejected():
             from_dict(bad)
 
 
+def test_json_string_entries_only_in_the_written_form():
+    d = to_dict(random_map(2, (2, 2), 1, seed=8))
+    d["entries"] = ["-3/4", "5", 0.5, -2]
+    assert from_dict(d).entries == (Fraction(-3, 4), 5, Fraction(1, 2), -2)
+    for entry in ("1e999999999", "1.5", " 1", "+1", "1_0", "0x10", "nan", "-", "1/", float("inf")):
+        d["entries"] = [entry, "1", "1", "1"]
+        with pytest.raises(ShapeMismatch):
+            from_dict(d)
+
+
 # ---------------------------------------------------------------------------
 # composition helpers
 
