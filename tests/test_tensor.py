@@ -410,6 +410,20 @@ def test_realize_equals_step_by_step_fold(data):
     assert got.entries == want.entries
 
 
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_realize_equals_step_by_step_fold_on_every_short_word(arity):
+    letters = WORD_ALPHABET[arity]
+    # distinct dims on every axis, so a misplaced axis changes the shape
+    f = random_map(arity, tuple(range(2, arity + 2)), 1, seed=71)
+    base = _fold("*" + letters[1:2], f)  # starred, reordered labels
+    for length in range(6):
+        for word in product(letters, repeat=length):
+            got = realize(ExprAst("f", word), base)
+            want = _fold(word, base)
+            assert (got.axis_labels, got.shape) == (want.axis_labels, want.shape), word
+            assert got.entries == want.entries, word
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_evaluate_equals_per_index_reference(data):
