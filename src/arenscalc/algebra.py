@@ -338,7 +338,7 @@ def arens_products(m: MultiMap) -> tuple[MultiMap, MultiMap]:
     for ext in (first, second):
         rep = equal(m, ext)
         if not rep.equal:
-            raise InvalidAlgebra(f"extension drifted from the base map: {rep.render()}")
+            raise InvalidAlgebra(f"extension differs from the base map: {rep.render()}")
     return first, second
 
 

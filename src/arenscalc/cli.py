@@ -208,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         ExprError, DimensionMismatch, ShapeMismatch, InvalidAlgebra, InvalidCayleyTable,
         OSError, KeyError, ValueError, TypeError, RuntimeError,
     ) as exc:
-        # ValueError covers malformed JSON, RuntimeError realize's drift check
+        # ValueError covers malformed JSON, RuntimeError the RecursionError of deep JSON nesting
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -291,15 +291,15 @@ def fourth_adjoint_check(cand: TriDerivationCandidate) -> list[Row]:
         pixx = realize(ExprAst(alg.multiplication.name, ops), alg.multiplication)
         lxx = realize(ExprAst("l", ops), cand.module.left_action)
         rxx = realize(ExprAst("r", ops), cand.module.right_action)
-        drift = [
+        changed = [
             r for r in (
                 equal(pixx, alg.multiplication),
                 equal(lxx, cand.module.left_action),
                 equal(rxx, cand.module.right_action),
             ) if not r.equal
         ]
-        if drift:
-            rows.append((f"extended structure ({tag} product)", False, drift[0].render()))
+        if changed:
+            rows.append((f"extended structure ({tag} product)", False, changed[0].render()))
             continue
         ext_alg = AlgebraModel(alg.dim, pixx, alg.unit, alg.basis_names)
         ext_alg.validate()

@@ -1,11 +1,13 @@
 """Which base axis each slot of an expression draws from, and in what order
 iterated weak* limits are taken.
 
-Every expression over a trilinear base map shuffles the same four axes
-around: the three input axes ``in1 in2 in3`` and the codomain axis ``out``.
-An adjoint rotates the codomain axis into slot 1 and the last slot out to the
+Every expression over a base map of arity n shuffles the same n + 1 axes
+around: the input axes ``in1 .. in<n>`` and the codomain axis ``out``.  An
+adjoint rotates the codomain axis into slot 1 and the last slot out to the
 codomain (both picking up a dual level); a flip permutes the slots.  The
 *axis assignment* records where each axis ended up and at what dual level.
+``axis_semantics`` folds a word into it at any arity; ``tensor.realize``
+reads that fold.  Limit orders and the condition table are stated at arity 3.
 
 The shape  flip p, four adjoints, flip q  is special: it extends the base map
 to the biduals, and the value is the iterated weak* limit
@@ -42,8 +44,13 @@ from .expr import (
     signature_of,
 )
 
-INPUT_AXES = ("in1", "in2", "in3")
-CODOMAIN_AXIS = "out"
+
+def default_labels(arity: int) -> tuple[str, ...]:
+    """Base axis names: the codomain ``out``, then ``in1`` .. ``in<arity>``."""
+    return ("out",) + tuple(f"in{k}" for k in range(1, arity + 1))
+
+
+INPUT_AXES = default_labels(3)[1:]
 
 Perm = tuple[int, ...]
 LimitOrder = tuple[str, str, str]
@@ -78,8 +85,7 @@ class AxisAssignment:
 
 
 def axis_semantics(expr: ExprAst, base_arity: int = 3) -> AxisAssignment:
-    slots = [(axis, 0) for axis in INPUT_AXES[:base_arity]]
-    cod = (CODOMAIN_AXIS, 0)
+    cod, *slots = ((axis, 0) for axis in default_labels(base_arity))
     for op in expr.ops:
         if op == ADJOINT:
             moved_in = (cod[0], cod[1] + 1)

@@ -17,8 +17,8 @@ One strided kernel does the numeric work: ``_permute`` reorders axes by a
 single gather through flat offsets, and ``_contract_last`` contracts the
 fastest axis with a vector; the offsets of each (shape, axis order) pair
 are built once and cached.  A word is realized as one permutation: its
-operations compose into one axis order plus dual parities, applied by a
-single ``transpose`` and cross-checked against ``semantics.axis_semantics``.
+axis order and dual levels are read from ``semantics.axis_semantics`` and
+applied by a single ``transpose``.
 ``equal`` compares the aligned entries in one tuple comparison, which is
 mostly identity checks since realizations share their base's ``Fraction``
 objects, and scans for the first mismatch only when it fails.  An identity
@@ -45,7 +45,8 @@ from math import prod
 from operator import add, ne
 
 from . import semantics
-from .expr import ADJOINT, ExprAst, flip_perm
+from .expr import ExprAst, flip_perm
+from .semantics import default_labels
 
 
 class DimensionMismatch(Exception):
@@ -87,10 +88,6 @@ def pair(functional: Vector, arg: Vector) -> Fraction:
             f"pairing dims differ: {functional.dim} vs {arg.dim}"
         )
     return sum((a * b for a, b in zip(functional, arg)), Fraction(0))
-
-
-def default_labels(arity: int) -> tuple[str, ...]:
-    return ("out",) + tuple(f"in{k}" for k in range(1, arity + 1))
 
 
 def toggle_dual(label: str) -> str:
@@ -239,47 +236,17 @@ def evaluate(m: MultiMap, args) -> Vector:
 def realize(expr: ExprAst, base: MultiMap) -> MultiMap:
     """Apply an expression's operations to a concrete base map.
 
-    The word is composed into one axis permutation plus a dual parity per
-    base axis and realized by a single ``transpose``; ``adjoint`` and
-    ``flip`` are the step-by-step reference.  The final axis labels are
-    cross-checked against the independently computed
-    ``semantics.axis_semantics``; a disagreement means the two bookkeeping
-    paths have drifted apart and is raised as a hard error.
+    ``semantics.axis_semantics`` folds the word into the base axis and dual
+    level of every position, and a single ``transpose`` applies that;
+    ``adjoint`` and ``flip`` are the step-by-step reference.
     """
-    n = base.arity
-    axes = list(range(n + 1))  # axes[b]: the base axis now at position b
-    dual = [0] * (n + 1)
-    for op in expr.ops:
-        if op == ADJOINT:
-            dual[axes[0]] ^= 1
-            dual[axes[n]] ^= 1
-            axes = [axes[n]] + axes[:n]
-        else:
-            perm = flip_perm(op, n)
-            axes = [axes[0]] + [axes[1 + k] for k in perm]
-
-    def labelled(pairs) -> tuple[str, ...]:
-        return tuple(
-            toggle_dual(base.axis_labels[a]) if odd % 2 else base.axis_labels[a]
-            for a, odd in pairs
-        )
-
-    labels = labelled((a, dual[a]) for a in axes)
-    asg = semantics.axis_semantics(expr, n)
-    names = default_labels(n)
-    want = labelled(
-        (names.index(axis), level) for axis, level in zip(
-            (asg.codomain_axis,) + asg.slot_axes, (asg.codomain_level,) + asg.slot_levels
-        )
+    asg = semantics.axis_semantics(expr, base.arity)
+    axes = tuple(map(default_labels(base.arity).index, (asg.codomain_axis,) + asg.slot_axes))
+    labels = tuple(
+        toggle_dual(base.axis_labels[a]) if level % 2 else base.axis_labels[a]
+        for a, level in zip(axes, (asg.codomain_level,) + asg.slot_levels)
     )
-    if want != labels:
-        raise RuntimeError(
-            f"axis bookkeeping drift for {expr.render()}: "
-            f"tensor says {labels}, assignment says {want}"
-        )
-    return transpose(
-        base, tuple(axes), name=ExprAst(base.name, expr.ops).render(), labels=labels,
-    )
+    return transpose(base, axes, name=ExprAst(base.name, expr.ops).render(), labels=labels)
 
 
 @dataclass(frozen=True)
@@ -469,8 +436,19 @@ def to_dict(m: MultiMap) -> dict:
 _ENTRY_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+def _json(v, kind: type, what: str):
+    """``v`` if it has the JSON type that ``to_dict`` writes for ``what``."""
+    if type(v) is kind:  # so no bool for an int, and no string for a list
+        return v
+    raise ShapeMismatch(f"malformed map data: {what} is {type(v).__name__}, not {kind.__name__}")
+
+
+def _json_list(v, kind: type, what: str) -> tuple:
+    return tuple(_json(x, kind, f"an item of {what}") for x in _json(v, list, what))
+
+
 def _entry_from_json(v) -> Fraction:
-    if isinstance(v, (int, float)) or (isinstance(v, str) and _ENTRY_TEXT.fullmatch(v)):
+    if type(v) in (int, float) or (isinstance(v, str) and _ENTRY_TEXT.fullmatch(v)):
         return Fraction(v)
     raise ShapeMismatch(f"bad entry {v!r} in map file")
 
@@ -478,12 +456,12 @@ def _entry_from_json(v) -> Fraction:
 def from_dict(d: dict) -> MultiMap:
     try:
         return MultiMap(
-            name=d["name"],
-            arity=int(d["arity"]),
-            input_dims=tuple(int(x) for x in d["input_dims"]),
-            codomain_dim=int(d["codomain_dim"]),
-            axis_labels=tuple(d["axis_labels"]),
-            entries=tuple(_entry_from_json(v) for v in d["entries"]),
+            name=_json(d["name"], str, "name"),
+            arity=_json(d["arity"], int, "arity"),
+            input_dims=_json_list(d["input_dims"], int, "input_dims"),
+            codomain_dim=_json(d["codomain_dim"], int, "codomain_dim"),
+            axis_labels=_json_list(d["axis_labels"], str, "axis_labels"),
+            entries=tuple(map(_entry_from_json, _json(d["entries"], list, "entries"))),
         )
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ShapeMismatch(f"malformed map data: {exc}") from exc

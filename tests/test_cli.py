@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import subprocess
@@ -9,7 +8,6 @@ import time
 
 import pytest
 
-from arenscalc import semantics
 from arenscalc.cli import main
 from arenscalc.tensor import random_map, save_map, to_dict
 
@@ -124,20 +122,6 @@ def test_check_map_pair_corruption(tmp_path, capsys):
     assert "at index" in out
 
 
-def test_check_realize_drift_exits_with_one_error_line(monkeypatch, capsys):
-    real = semantics.axis_semantics
-
-    def drifted(expr, base_arity=3):
-        asg = real(expr, base_arity)
-        return dataclasses.replace(asg, codomain_level=asg.codomain_level + 1)
-
-    monkeypatch.setattr(semantics, "axis_semantics", drifted)
-    assert main(["check", "f^{*}", "f^{*}"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: RuntimeError: axis bookkeeping drift for f^{*}")
-
-
 def test_check_map_single_file(tmp_path, capsys):
     path = tmp_path / "m.json"
     save_map(random_map(3, (2, 2, 2), 2, seed=4, name="f"), path)
@@ -163,6 +147,48 @@ def test_check_map_hostile_entry_exits_fast_with_one_error_line(tmp_path, capsys
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ShapeMismatch: ")
+
+
+def _one_error_line(capsys, prefix):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(prefix)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("axis_labels", [1, 2, 3, 4]), ("axis_labels", ["out", None, "in2", "in3"])]
+)
+def test_check_map_label_of_wrong_type_exits_with_one_error_line(tmp_path, capsys, field, value):
+    path = tmp_path / "m.json"
+    data = {**to_dict(random_map(3, (2, 2, 2), 2, seed=4)), field: value}
+    path.write_text(json.dumps(data))
+    assert main(["check", "f^{*}", "f", "--map", str(path)]) == 2
+    _one_error_line(capsys, "error: ShapeMismatch: malformed map data: an item of axis_labels")
+
+
+def test_check_map_nested_too_deep_exits_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert main(["check", "f", "f", "--map", str(path)]) == 2
+    _one_error_line(capsys, "error: RecursionError: ")
+
+
+@pytest.fixture
+def arity_four_map(tmp_path):
+    path = tmp_path / "a4.json"
+    save_map(random_map(4, (2, 1, 3, 2), 2, seed=5), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("left, right", [("f", "f"), ("f^{*}", "f^{******}")])
+def test_check_arity_four_map_passes(arity_four_map, capsys, left, right):
+    assert main(["check", left, right, "--map", arity_four_map]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+
+
+def test_check_arity_four_map_rejects_a_flip(arity_four_map, capsys):
+    assert main(["check", "f^{i}", "f", "--map", arity_four_map]) == 2
+    _one_error_line(capsys, "error: FlipArityMismatch: ")
 
 
 def test_check_map_missing_file(capsys):

@@ -255,6 +255,24 @@ def test_malformed_map_data_is_rejected():
         {"axis_labels": ["out", "in1", "in1"]},
         {"input_dims": [2]},
         {"entries": good["entries"][:-1] + ["1/0"]},
+        # types that to_dict never writes
+        {"axis_labels": [1, 2, 3]},
+        {"axis_labels": ["out", None, "in2"]},
+        {"axis_labels": "oab"},
+        {"name": None},
+        {"name": 7},
+        {"input_dims": [2.5, 2]},
+        {"input_dims": [2.0, 2]},
+        {"input_dims": [True, 2]},
+        {"input_dims": ["2", 2]},
+        {"input_dims": "22"},
+        {"arity": 2.0},
+        {"arity": "2"},
+        {"arity": True},
+        {"codomain_dim": 1.0},
+        {"codomain_dim": True},
+        {"entries": "1111"},
+        {"entries": good["entries"][:-1] + [True]},
     ):
         bad = {**good, **breakage}
         with pytest.raises(ShapeMismatch):
@@ -365,7 +383,7 @@ def test_expr_ast_base_name_is_notational():
 # oracles: the one-permutation realize against the step-by-step fold, and the
 # contraction evaluate against a per-index sum
 
-WORD_ALPHABET = {1: "*", 2: "*r", 3: "*ijrts"}
+WORD_ALPHABET = {1: "*", 2: "*r", 3: "*ijrts", 4: "*"}
 FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
 
@@ -398,7 +416,7 @@ def _draw_map(data, arity):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_realize_equals_step_by_step_fold(data):
-    arity = data.draw(st.integers(1, 3))
+    arity = data.draw(st.integers(1, 4))
     letters = WORD_ALPHABET[arity]
     # a base reached by a prefix word carries starred, reordered labels
     base = _fold(data.draw(st.text(letters, max_size=4)), _draw_map(data, arity))
