@@ -134,6 +134,12 @@ def test_check_map_malformed_json(tmp_path, capsys):
     assert main(["check", "f", "f", "--map", str(path)]) == 2
 
 
+def _one_error_line(capsys, prefix):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(prefix)
+
+
 @pytest.mark.parametrize("entry", ['"1e999999999"', "1e999", "NaN"])
 def test_check_map_hostile_entry_exits_fast_with_one_error_line(tmp_path, capsys, entry):
     path = tmp_path / "m.json"
@@ -144,15 +150,7 @@ def test_check_map_hostile_entry_exits_fast_with_one_error_line(tmp_path, capsys
     start = time.perf_counter()
     assert main(["check", "f^{**}", "f", "--map", str(path)]) == 2
     assert time.perf_counter() - start < 0.5
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: ShapeMismatch: ")
-
-
-def _one_error_line(capsys, prefix):
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith(prefix)
+    _one_error_line(capsys, "error: ShapeMismatch: ")
 
 
 @pytest.mark.parametrize(
