@@ -153,12 +153,10 @@ def test_check_map_hostile_entry_exits_fast_with_one_error_line(tmp_path, capsys
     _one_error_line(capsys, "error: ShapeMismatch: ")
 
 
-@pytest.mark.parametrize(
-    "field, value", [("axis_labels", [1, 2, 3, 4]), ("axis_labels", ["out", None, "in2", "in3"])]
-)
-def test_check_map_label_of_wrong_type_exits_with_one_error_line(tmp_path, capsys, field, value):
+@pytest.mark.parametrize("labels", [[1, 2, 3, 4], ["out", None, "in2", "in3"]])
+def test_check_map_label_of_wrong_type_exits_with_one_error_line(tmp_path, capsys, labels):
     path = tmp_path / "m.json"
-    data = {**to_dict(random_map(3, (2, 2, 2), 2, seed=4)), field: value}
+    data = {**to_dict(random_map(3, (2, 2, 2), 2, seed=4)), "axis_labels": labels}
     path.write_text(json.dumps(data))
     assert main(["check", "f^{*}", "f", "--map", str(path)]) == 2
     _one_error_line(capsys, "error: ShapeMismatch: malformed map data: an item of axis_labels")
