@@ -269,6 +269,12 @@ def test_arens_products_random_bilinear():
     assert regularity_check(m).equal
 
 
+def test_arens_product_words_are_pinned():
+    pi = group_algebra(cayley_fixture("z2"))[0].multiplication
+    assert [m.name for m in arens_products(pi)] == ["pi^{***}", "pi^{r***r}"]
+    assert regularity_check(pi).render() == "PASS  pi^{***} == pi^{r***r}"
+
+
 # ---------------------------------------------------------------------------
 # slice bridge
 
@@ -307,6 +313,24 @@ def test_slice_bridge_random_passes():
     rep = slice_bridge_check(f, vector((2, -1)))
     assert rep.passed
     assert len(rep.rows) == 3
+
+
+def test_slice_bridge_remark_detail_is_pinned(perturb_realized):
+    perturb_realized("f^{s****t}")
+    rep = slice_bridge_check(random_map(3, (2, 3, 2), 2, seed=5), vector((2, -1)))
+    assert rep.rows == (
+        ("slice bridge identity", True, "PASS  f^{s******}|s2 == f^{s*}|s1^{****}"),
+        (
+            "sliced map extension comparison",
+            True,
+            "PASS  f^{s*}|s1^{***} == f^{s*}|s1^{r***r}",
+        ),
+        (
+            "cycled-vs-reversed extension remark",
+            False,
+            "FAIL  f^{s****t} != f^{r****r} at index [0, 0, 0, 0]: 0 vs -1",
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

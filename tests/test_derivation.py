@@ -415,6 +415,24 @@ def _perturb(data, m: MultiMap) -> MultiMap:
     return MultiMap(m.name, m.arity, m.input_dims, m.codomain_dim, m.axis_labels, tuple(entries))
 
 
+def test_fourth_adjoint_failure_details_are_pinned(perturb_realized):
+    perturb_realized("D^{****}", "l^{***}", "r^{r***r}")
+    rows = fourth_adjoint_check(CANDIDATES["poly3-at-zero"])
+    assert rows[:3] == [
+        (
+            "fourth adjoint reproduces the candidate",
+            False,
+            "FAIL  D^{****} != D at index [0, 0, 0, 0]: 1 vs 0",
+        ),
+        ("extended structure (first product)", False, "FAIL  l^{***} != l at index [0, 0, 0]: 2 vs 1"),
+        (
+            "extended structure (second product)",
+            False,
+            "FAIL  r^{r***r} != r at index [0, 0, 0]: 2 vs 1",
+        ),
+    ]
+
+
 @pytest.mark.parametrize("name", ["poly3-at-zero", "poly3-doubled"])
 def test_candidates_off_the_algebra_dim_hold(name):
     cand = CANDIDATES[name]

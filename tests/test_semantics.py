@@ -17,6 +17,7 @@ from arenscalc.expr import (
 from arenscalc.semantics import (
     DISTINCT,
     EQUAL_IFF,
+    EXTENSION_FLIPS,
     NOT_COMPARABLE,
     UNCOND_EQUAL,
     axis_semantics,
@@ -25,6 +26,7 @@ from arenscalc.semantics import (
     complete_regularity_premises,
     condition_name,
     entails,
+    extension_expr,
     flip_conjugation_checks,
     limit_order,
     natural_extensions,
@@ -39,6 +41,18 @@ GOLDEN_ORDERS = {
     "f^{t****s}": ("in3", "in1", "in2"),
     "f^{s****t}": ("in2", "in3", "in1"),
 }
+
+
+def test_extension_words_of_the_six_leads():
+    words = {lead: extension_expr(lead).render() for lead in EXTENSION_FLIPS}
+    assert words == {
+        "i": "f^{i****i}",
+        "j": "f^{j****j}",
+        "r": "f^{r****r}",
+        "": "f^{****}",
+        "t": "f^{t****s}",
+        "s": "f^{s****t}",
+    }
 
 
 def test_golden_limit_orders():
