@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from itertools import islice, permutations, product
 
 from .expr import ExprAst
+from .semantics import ARENS_FLIPS, extension_expr
 from .tensor import (
     DimensionMismatch,
     IdentityReport,
@@ -93,29 +94,6 @@ class CayleyTable:
 
     def product(self, i: int, j: int) -> int:
         return self.table[i][j]
-
-    def render(self) -> str:
-        lines = [f"group {self.order} {self.identity}"]
-        lines += [" ".join(str(v) for v in row) for row in self.table]
-        return "\n".join(lines) + "\n"
-
-
-def parse_cayley(text: str) -> CayleyTable:
-    """Parse the text form: ``group <n> <identity>`` then n rows of n indices."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise InvalidCayleyTable("empty table text")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "group":
-        raise InvalidCayleyTable(f"bad header {lines[0]!r}")
-    try:
-        n, e = int(head[1]), int(head[2])
-        rows = tuple(tuple(int(v) for v in ln.split()) for ln in lines[1:])
-    except ValueError as exc:
-        raise InvalidCayleyTable(f"non-integer entry: {exc}") from exc
-    if len(rows) != n:
-        raise InvalidCayleyTable(f"expected {n} rows, got {len(rows)}")
-    return CayleyTable(n, rows, e)
 
 
 def _cyclic(n: int) -> CayleyTable:
@@ -320,11 +298,16 @@ def regular_module(model: AlgebraModel) -> BanachModuleModel:
 # bilinear extension checks
 
 
-def _extensions(m: MultiMap) -> tuple[MultiMap, MultiMap]:
+def extensions(m: MultiMap, leads) -> dict[str, MultiMap]:
+    """The canonical extensions of ``m`` at its own arity, keyed by leading flip."""
+    return {lead: realize(extension_expr(lead, m.name, m.arity), m) for lead in leads}
+
+
+def _arens_pair(m: MultiMap) -> tuple[MultiMap, MultiMap]:
     """f^{***} and f^{r***r} of a bilinear map."""
     if m.arity != 2:
         raise DimensionMismatch(f"{m.name}: need a bilinear map, got arity {m.arity}")
-    return tuple(realize(ExprAst(m.name, tuple(word)), m) for word in ("***", "r***r"))
+    return tuple(extensions(m, ARENS_FLIPS).values())
 
 
 def arens_products(m: MultiMap) -> tuple[MultiMap, MultiMap]:
@@ -334,7 +317,7 @@ def arens_products(m: MultiMap) -> tuple[MultiMap, MultiMap]:
     that collapse is asserted, so a disagreement signals an axis bug
     rather than genuine irregularity.
     """
-    first, second = _extensions(m)
+    first, second = _arens_pair(m)
     for ext in (first, second):
         rep = equal(m, ext)
         if not rep.equal:
@@ -344,7 +327,7 @@ def arens_products(m: MultiMap) -> tuple[MultiMap, MultiMap]:
 
 def regularity_check(m: MultiMap) -> IdentityReport:
     """Compare the two canonical extensions of a bilinear map entrywise."""
-    return equal(*_extensions(m))
+    return equal(*_arens_pair(m))
 
 
 @dataclass(frozen=True)
@@ -377,10 +360,7 @@ def slice_bridge_check(f: MultiMap, wstar: Vector) -> BridgeReport:
     rhs = realize(ExprAst(m.name, ("*",) * 4), m)
     bridge = equal(lhs, rhs)
     reg = regularity_check(m)
-    remark = equal(
-        realize(ExprAst(f.name, ("s", "*", "*", "*", "*", "t")), f),
-        realize(ExprAst(f.name, ("r", "*", "*", "*", "*", "r")), f),
-    )
+    remark = equal(*extensions(f, ("s", "r")).values())
     rows = (
         ("slice bridge identity", bridge.equal, bridge.render()),
         ("sliced map extension comparison", reg.equal, reg.render()),

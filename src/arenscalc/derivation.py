@@ -29,14 +29,14 @@ from .algebra import (
     BanachModuleModel,
     InvalidAlgebra,
     cayley_fixture,
+    extensions,
     group_algebra,
     matrix_algebra,
     regular_module,
     regularity_check,
     truncated_poly_algebra,
 )
-from .expr import ExprAst
-from .semantics import extension_expr
+from .semantics import ARENS_FLIPS
 from .tensor import (
     MultiMap,
     ShapeMismatch,
@@ -48,7 +48,6 @@ from .tensor import (
     default_labels,
     equal,
     from_function,
-    realize,
     slice_slot,
     transpose,
 )
@@ -198,10 +197,6 @@ def tally_rows(results, ok_detail: str, labels=()) -> list[Row]:
     ]
 
 
-def _extensions(m: MultiMap, leads) -> dict[str, MultiMap]:
-    return {lead: realize(extension_expr(lead, m.name), m) for lead in leads}
-
-
 def _families(cand: TriDerivationCandidate):
     """The right-action and dual-action composite families of a candidate,
     each as (builder for one basis index, basis size)."""
@@ -224,7 +219,7 @@ def _family_rows(family, pairs: list[tuple[str, str, str]]) -> list[Row]:
 
     def results():
         for k in range(count):
-            exts = _extensions(build(k), leads)
+            exts = extensions(build(k), leads)
             for label, la, lb in pairs:
                 rep = equal(exts[la], exts[lb])
                 yield label, rep.equal, f"basis {k}: {rep.render()}"
@@ -245,7 +240,7 @@ def composite_extension_checks(cand: TriDerivationCandidate) -> list[Row]:
     rows: list[Row] = []
     reg = regularity_check(cand.module.right_action)
     rows.append(("hypothesis: right action extensions agree", reg.equal, reg.render()))
-    dexts = _extensions(D, ("", "i", "j", "s"))
+    dexts = extensions(D, ("", "i", "j", "s"))
     for label, la, lb in (
         ("hypothesis: base extensions j-vs-plain", "j", ""),
         ("hypothesis: base extensions j-vs-i", "j", "i"),
@@ -283,21 +278,14 @@ def fourth_adjoint_check(cand: TriDerivationCandidate) -> list[Row]:
     D = cand.tri_map
     alg = cand.module.algebra
     rows: list[Row] = []
-    dxx = realize(ExprAst(D.name, ("*",) * 4), D)
+    dxx = extensions(D, ("",))[""]
     rep = equal(dxx, D)
     rows.append(("fourth adjoint reproduces the candidate", rep.equal, rep.render()))
 
-    for tag, ops in (("first", ("*", "*", "*")), ("second", ("r", "*", "*", "*", "r"))):
-        pixx = realize(ExprAst(alg.multiplication.name, ops), alg.multiplication)
-        lxx = realize(ExprAst("l", ops), cand.module.left_action)
-        rxx = realize(ExprAst("r", ops), cand.module.right_action)
-        changed = [
-            r for r in (
-                equal(pixx, alg.multiplication),
-                equal(lxx, cand.module.left_action),
-                equal(rxx, cand.module.right_action),
-            ) if not r.equal
-        ]
+    structure = (alg.multiplication, cand.module.left_action, cand.module.right_action)
+    for tag, lead in zip(("first", "second"), ARENS_FLIPS):
+        pixx, lxx, rxx = (extensions(m, (lead,))[lead] for m in structure)
+        changed = [r for r in map(equal, (pixx, lxx, rxx), structure) if not r.equal]
         if changed:
             rows.append((f"extended structure ({tag} product)", False, changed[0].render()))
             continue

@@ -185,16 +185,10 @@ class Signature:
 DEFAULT_SPACES = {3: (("X", "Y", "Z"), "W"), 2: (("X", "Y"), "Z"), 1: (("X",), "Y")}
 
 
-def base_signature(arity: int = 3, names: tuple[tuple[str, ...], str] | None = None) -> Signature:
-    if names is None:
-        if arity not in DEFAULT_SPACES:
-            raise FlipArityMismatch(f"no default signature at arity {arity}")
-        names = DEFAULT_SPACES[arity]
-    inputs, codomain = names
-    if len(inputs) != arity:
-        raise FlipArityMismatch(
-            f"signature names {inputs} do not match arity {arity}"
-        )
+def base_signature(arity: int = 3) -> Signature:
+    if arity not in DEFAULT_SPACES:
+        raise FlipArityMismatch(f"no default signature at arity {arity}")
+    inputs, codomain = DEFAULT_SPACES[arity]
     return Signature(tuple(SpaceRef(n) for n in inputs), SpaceRef(codomain))
 
 

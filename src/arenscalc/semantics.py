@@ -7,7 +7,8 @@ adjoint rotates the codomain axis into slot 1 and the last slot out to the
 codomain (both picking up a dual level); a flip permutes the slots.  The
 *axis assignment* records where each axis ended up and at what dual level.
 ``axis_semantics`` folds a word into it at any arity; ``tensor.realize``
-reads that fold.  Limit orders and the condition table are stated at arity 3.
+reads that fold.  Extension words are stated at every arity too; limit
+orders and the condition table are stated at arity 3.
 
 The shape  flip p, four adjoints, flip q  is special: it extends the base map
 to the biduals, and the value is the iterated weak* limit
@@ -51,6 +52,7 @@ def default_labels(arity: int) -> tuple[str, ...]:
 
 
 INPUT_AXES = default_labels(3)[1:]
+_UNMOVED: dict[int, tuple[tuple[str, int], ...]] = {}  # base axes at level 0, per arity
 
 Perm = tuple[int, ...]
 LimitOrder = tuple[str, str, str]
@@ -85,7 +87,10 @@ class AxisAssignment:
 
 
 def axis_semantics(expr: ExprAst, base_arity: int = 3) -> AxisAssignment:
-    cod, *slots = ((axis, 0) for axis in default_labels(base_arity))
+    unmoved = _UNMOVED.get(base_arity)
+    if unmoved is None:
+        unmoved = _UNMOVED[base_arity] = tuple((axis, 0) for axis in default_labels(base_arity))
+    cod, *slots = unmoved
     for op in expr.ops:
         if op == ADJOINT:
             moved_in = (cod[0], cod[1] + 1)
@@ -119,16 +124,21 @@ def limit_order(expr: ExprAst) -> LimitOrder | None:
     return order_of_perm(lead)
 
 
-# the six extension shapes, keyed by leading flip letter ("" = no flip);
-# the trailing flip is the inverse, so the domain comes back in base order
+# the leading flips of the canonical extensions ("" = no flip): the six
+# at arity 3, and the two Arens products of a bilinear map
 EXTENSION_FLIPS = ("i", "j", "r", "", "t", "s")
+ARENS_FLIPS = ("", "r")
 
 
-def extension_expr(lead: str, base: str = "f") -> ExprAst:
+def extension_expr(lead: str, base: str = "f", arity: int = 3) -> ExprAst:
+    """The canonical extension with leading flip ``lead``: the flip, ``arity + 1``
+    adjoints, then the inverse flip, so the domain comes back in base order.
+    At arity 2 these are the Arens products f^{***} and f^{r***r}."""
+    adjoints = (ADJOINT,) * (arity + 1)
     if lead == "":
-        return ExprAst(base, tuple(ADJOINT * 4))
+        return ExprAst(base, adjoints)
     inv = PERM_NAMES[invert_flip(FLIP_PERMS[lead])]
-    return ExprAst(base, (lead,) + tuple(ADJOINT * 4) + (inv,))
+    return ExprAst(base, (lead,) + adjoints + (inv,))
 
 
 def natural_extensions(base: str = "f") -> list[tuple[ExprAst, LimitOrder]]:

@@ -45,7 +45,6 @@ from .semantics import (
 from .tensor import (
     MultiMap,
     adjoint,
-    build_factored,
     compose_codomain,
     compose_into_slot,
     equal,
@@ -237,7 +236,7 @@ def run_factorization_suite(
             dx, dy, dz, dw, ds = _pick_dims(rng, 5, dims)
             g = random_map(3, (dx, ds, dz), dw, seed=rng.randrange(1 << 30), name="g")
             h = random_map(1, (dy,), ds, seed=rng.randrange(1 << 30), name="h")
-            f = build_factored(g, h, 2, name="f")
+            f = compose_into_slot(g, h, 2, name="f")
             lhs = realize(parse("f^{t*****}"), f)
             rhs = compose_codomain(
                 realize(parse("h^{***}"), h), realize(parse("g^{t*****}"), g)

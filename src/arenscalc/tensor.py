@@ -133,10 +133,10 @@ class MultiMap:
         return self.entries[flat]
 
 
-def from_function(name, input_dims, codomain_dim, fn, labels=None) -> MultiMap:
+def from_function(name, input_dims, codomain_dim, fn) -> MultiMap:
     """Build a map entrywise; fn takes (cod_index, *input_indices)."""
     input_dims = tuple(input_dims)
-    labels = tuple(labels) if labels is not None else default_labels(len(input_dims))
+    labels = default_labels(len(input_dims))
     shape = (codomain_dim,) + input_dims
     entries = tuple(Fraction(fn(*idx)) for idx in product(*(range(d) for d in shape)))
     return MultiMap(name, len(input_dims), input_dims, codomain_dim, labels, entries)
@@ -192,7 +192,7 @@ def transpose(m: MultiMap, new_axes, name=None, labels=None) -> MultiMap:
     labels default to the moved labels of ``m``."""
     if sorted(new_axes) != list(range(m.arity + 1)):
         raise ShapeMismatch(f"bad axis order {new_axes} for arity {m.arity}")
-    new_shape = tuple(m.shape[a] for a in new_axes)
+    new_shape = tuple(map(m.shape.__getitem__, new_axes))
     if labels is None:
         labels = tuple(m.axis_labels[a] for a in new_axes)
     return MultiMap(
@@ -233,6 +233,9 @@ def evaluate(m: MultiMap, args) -> Vector:
     return Vector(tuple(vals))
 
 
+_AXIS_INDEX: dict[int, dict[str, int]] = {}  # base axis name -> position, per arity
+
+
 def realize(expr: ExprAst, base: MultiMap) -> MultiMap:
     """Apply an expression's operations to a concrete base map.
 
@@ -241,7 +244,10 @@ def realize(expr: ExprAst, base: MultiMap) -> MultiMap:
     ``adjoint`` and ``flip`` are the step-by-step reference.
     """
     asg = semantics.axis_semantics(expr, base.arity)
-    axes = tuple(map(default_labels(base.arity).index, (asg.codomain_axis,) + asg.slot_axes))
+    index = _AXIS_INDEX.get(base.arity)
+    if index is None:
+        index = _AXIS_INDEX[base.arity] = {a: k for k, a in enumerate(default_labels(base.arity))}
+    axes = tuple(map(index.__getitem__, (asg.codomain_axis,) + asg.slot_axes))
     labels = tuple(
         toggle_dual(base.axis_labels[a]) if level % 2 else base.axis_labels[a]
         for a, level in zip(axes, (asg.codomain_level,) + asg.slot_levels)
@@ -270,10 +276,11 @@ def equal(left: MultiMap, right: MultiMap, atol: Fraction | float | None = None)
     """Entrywise comparison after aligning the right map's axes by label."""
     if left.arity != right.arity:
         raise ShapeMismatch(f"arity {left.arity} vs {right.arity}")
-    if set(right.axis_labels) != set(left.axis_labels):
+    index = {label: k for k, label in enumerate(right.axis_labels)}
+    if index.keys() != set(left.axis_labels):
         raise ShapeMismatch(f"cannot align labels {right.axis_labels} to {left.axis_labels}")
-    axes = tuple(map(right.axis_labels.index, left.axis_labels))
-    shape = tuple(right.shape[a] for a in axes)
+    axes = tuple(map(index.__getitem__, left.axis_labels))
+    shape = tuple(map(right.shape.__getitem__, axes))
     if shape != left.shape:
         raise ShapeMismatch(f"dims {left.shape} vs {shape} after label alignment")
     aligned = _permute(right.entries, right.shape, axes)
@@ -369,13 +376,6 @@ def compose_into_slot(outer: MultiMap, inner: MultiMap, slot: int, name=None) ->
         name if name is not None else f"{outer.name}.{inner.name}.s{slot}",
         len(dims), dims, outer.codomain_dim, default_labels(len(dims)), entries,
     )
-
-
-def build_factored(g: MultiMap, h: MultiMap, slot: int, name=None) -> MultiMap:
-    """The map (x1, .., xn) -> g(x1, .., h(x_slot), .., xn) for linear h."""
-    if h.arity != 1:
-        raise ShapeMismatch(f"{h.name}: factoring map must be linear")
-    return compose_into_slot(g, h, slot, name=name)
 
 
 def compose_codomain(post: MultiMap, m: MultiMap, name=None) -> MultiMap:

@@ -20,7 +20,6 @@ from arenscalc.algebra import (
     group_algebra,
     matrix_algebra,
     nested_bilinear_check,
-    parse_cayley,
     regular_module,
     regularity_check,
     sample_grid,
@@ -81,19 +80,6 @@ def test_cayley_table_rejects_bad_identity():
 def test_cayley_table_rejects_non_associative_loop():
     with pytest.raises(InvalidCayleyTable, match="associativity"):
         CayleyTable(5, NONASSOC_LOOP, 0)
-
-
-def test_cayley_parse_render_round_trip():
-    for name in GROUP_FIXTURES:
-        t = cayley_fixture(name)
-        assert parse_cayley(t.render()) == t
-
-
-def test_cayley_parse_rejects_bad_header():
-    with pytest.raises(InvalidCayleyTable):
-        parse_cayley("monoid 2 0\n0 1\n1 0\n")
-    with pytest.raises(InvalidCayleyTable):
-        parse_cayley("")
 
 
 def test_fixture_orders():

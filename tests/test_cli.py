@@ -5,11 +5,12 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from arenscalc.cli import main
-from arenscalc.tensor import random_map, save_map, to_dict
+from arenscalc.tensor import MultiMap, default_labels, random_map, save_map, to_dict
 
 # ---------------------------------------------------------------------------
 # parse
@@ -185,6 +186,29 @@ def test_check_arity_four_map_passes(arity_four_map, capsys, left, right):
 def test_check_arity_four_map_rejects_a_flip(arity_four_map, capsys):
     assert main(["check", "f^{i}", "f", "--map", arity_four_map]) == 2
     _one_error_line(capsys, "error: FlipArityMismatch: ")
+
+
+@pytest.fixture(scope="module")
+def arity_20000_map(tmp_path_factory):
+    # one entry: every axis has dimension 1, so any cost grows with the arity alone
+    path = tmp_path_factory.mktemp("wide") / "a20000.json"
+    n = 20_000
+    save_map(MultiMap("f", n, (1,) * n, 1, default_labels(n), (Fraction(3),)), path)
+    return str(path)
+
+
+def test_check_arity_20000_map_passes_in_bounded_time(arity_20000_map, capsys):
+    start = time.perf_counter()
+    assert main(["check", "f^{*}", "f^{*}", "--map", arity_20000_map]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == "PASS  f^{*} == f^{*}\n"
+
+
+def test_check_arity_20000_map_mismatch_exits_in_bounded_time(arity_20000_map, capsys):
+    start = time.perf_counter()
+    assert main(["check", "f^{**}", "f^{*}", "--map", arity_20000_map]) == 2
+    assert time.perf_counter() - start < 1.0
+    _one_error_line(capsys, "error: ShapeMismatch: ")
 
 
 def test_check_map_missing_file(capsys):

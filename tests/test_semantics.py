@@ -15,6 +15,7 @@ from arenscalc.expr import (
     parse,
 )
 from arenscalc.semantics import (
+    ARENS_FLIPS,
     DISTINCT,
     EQUAL_IFF,
     EXTENSION_FLIPS,
@@ -53,6 +54,11 @@ def test_extension_words_of_the_six_leads():
         "t": "f^{t****s}",
         "s": "f^{s****t}",
     }
+
+
+def test_extension_words_at_arity_2_are_the_arens_products():
+    words = [extension_expr(lead, "m", arity=2).render() for lead in ARENS_FLIPS]
+    assert words == ["m^{***}", "m^{r***r}"]
 
 
 def test_golden_limit_orders():

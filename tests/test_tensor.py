@@ -17,7 +17,6 @@ from arenscalc.tensor import (
     Vector,
     adjoint,
     basis_vector,
-    build_factored,
     compose_codomain,
     compose_into_slot,
     equal,
@@ -297,18 +296,12 @@ def test_build_factored_matches_pointwise_composition():
     rng = random.Random(37)
     g = random_map(3, (2, 3, 2), 2, seed=101, name="g")
     h = random_map(1, (4,), 3, seed=102, name="h")
-    f = build_factored(g, h, slot=2)
+    f = compose_into_slot(g, h, slot=2)
     assert f.arity == 3
     assert f.input_dims == (2, 4, 2)
     for _ in range(10):
         x, y, z = (_random_vector(rng, d) for d in (2, 4, 2))
         assert evaluate(f, [x, y, z]) == evaluate(g, [x, evaluate(h, [y]), z])
-
-
-def test_build_factored_requires_linear_inner():
-    g = random_map(3, (2, 2, 2), 2, seed=1)
-    with pytest.raises(ShapeMismatch):
-        build_factored(g, random_map(2, (2, 2), 2, seed=1), slot=1)
 
 
 def test_compose_into_slot_bilinear_into_bilinear():
