@@ -424,7 +424,11 @@ def test_fourth_adjoint_failure_details_are_pinned(perturb_realized):
             False,
             "FAIL  D^{****} != D at index [0, 0, 0, 0]: 1 vs 0",
         ),
-        ("extended structure (first product)", False, "FAIL  l^{***} != l at index [0, 0, 0]: 2 vs 1"),
+        (
+            "extended structure (first product)",
+            False,
+            "FAIL  l^{***} != l at index [0, 0, 0]: 2 vs 1",
+        ),
         (
             "extended structure (second product)",
             False,
