@@ -285,6 +285,16 @@ def test_report_default_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.md5(out.read_bytes()).hexdigest() == "71a576a0ffd74babc606e90154786b0a"
 
 
+@pytest.mark.parametrize(
+    "seed, md5",
+    [("3", "07764a0cb17f94e19f9d1dc842fdebde"), ("12", "c85a0358bb8577a5757697f7f7433cf8")],
+)
+def test_report_bytes_are_pinned_at_more_seeds(tmp_path, capsys, seed, md5):
+    out = tmp_path / "report.md"
+    assert main(["report", "--seed", seed, "--out", str(out)]) == 0
+    assert hashlib.md5(out.read_bytes()).hexdigest() == md5
+
+
 def test_report_seed_changes_config_line(tmp_path):
     small = ["--trials", "2", "--instances", "1"]
     p1, p2 = tmp_path / "a.md", tmp_path / "b.md"

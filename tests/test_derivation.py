@@ -18,6 +18,7 @@ from arenscalc.algebra import (
 )
 from arenscalc.derivation import (
     FIXTURE_NAMES,
+    _families,
     TriDerivationCandidate,
     composite_extension_checks,
     derivation_fixture,
@@ -29,10 +30,14 @@ from arenscalc.derivation import (
 )
 from arenscalc.tensor import (
     MultiMap,
+    adjoint,
     basis_vector,
+    compose_into_slot,
     evaluate,
     from_function,
     pair,
+    slice_slot,
+    transpose,
     vector,
     zero_vector,
 )
@@ -503,3 +508,29 @@ def test_sum_form_matches_its_definition():
             )
         )
         assert evaluate(cand.tri_map, [a, b, c]).coords == want
+
+
+def _dual_composite_per_functional(cand, xstar, name):
+    """The dual-action composite built for one functional on its own: D
+    composed into the left action, the adjoint taken, xstar sliced away."""
+    lbd = compose_into_slot(cand.module.left_action, cand.tri_map, 2)
+    kbad = slice_slot(adjoint(lbd), 1, xstar)
+    n = cand.module.algebra.dim
+    return MultiMap(
+        name, 3, (n, n, n), n, ("out*", "in1", "in2", "in3"),
+        transpose(kbad, (0, 2, 3, 1)).entries,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CANDIDATES))
+def test_dual_family_matches_per_functional_build(name):
+    cand = CANDIDATES[name]
+    build, count = _families(cand)[1]
+    assert count == cand.module.carrier_dim
+    for k in range(count):
+        want = _dual_composite_per_functional(cand, basis_vector(count, k), f"dc{k}")
+        assert build(k) == want
+    xstar = vector([Fraction(k - 1, k + 1) for k in range(count)])
+    assert dual_action_composite(cand, xstar, name="dc") == (
+        _dual_composite_per_functional(cand, xstar, "dc")
+    )

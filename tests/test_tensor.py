@@ -378,6 +378,7 @@ def test_expr_ast_base_name_is_notational():
 
 WORD_ALPHABET = {1: "*", 2: "*r", 3: "*ijrts", 4: "*"}
 FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+INTEGERS = st.builds(Fraction, st.integers(-9, 9))
 
 
 def _fold(word, base):
@@ -400,10 +401,24 @@ def _evaluate_by_index(m, args):
     return Vector(tuple(coords))
 
 
-def _draw_map(data, arity):
+def _draw_map(data, arity, codomain_dim=None):
     dims = data.draw(st.lists(st.integers(1, 3), min_size=arity + 1, max_size=arity + 1))
-    values = iter(data.draw(st.lists(FRACTIONS, min_size=prod(dims), max_size=prod(dims))))
+    if codomain_dim is not None:
+        dims[0] = codomain_dim
+    # integer-only maps as well as maps with mixed denominators
+    kind = data.draw(st.sampled_from((FRACTIONS, INTEGERS)), label="entry kind")
+    values = iter(data.draw(st.lists(kind, min_size=prod(dims), max_size=prod(dims))))
     return from_function("f", dims[1:], dims[0], lambda *_: next(values))
+
+
+def _draw_vector(data, dim):
+    """Mixed-denominator coordinates, the zero vector, or a (scaled) one-hot vector."""
+    kind = data.draw(st.sampled_from(("mixed", "zero", "one-hot")), label="vector kind")
+    if kind == "mixed":
+        return Vector(tuple(data.draw(st.lists(FRACTIONS, min_size=dim, max_size=dim))))
+    k = data.draw(st.integers(0, dim - 1))
+    c = 0 if kind == "zero" else data.draw(st.sampled_from((1, -1, Fraction(-3, 2))))
+    return Vector(tuple(Fraction(c if i == k else 0) for i in range(dim)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -439,13 +454,68 @@ def test_realize_equals_step_by_step_fold_on_every_short_word(arity):
 @given(st.data())
 def test_evaluate_equals_per_index_reference(data):
     f = _draw_map(data, data.draw(st.integers(1, 3)))
-    args = [
-        Vector(tuple(data.draw(st.lists(FRACTIONS, min_size=d, max_size=d))))
-        for d in f.input_dims
-    ]
+    args = [_draw_vector(data, d) for d in f.input_dims]
     got = evaluate(f, args)
     assert got == _evaluate_by_index(f, args)
     assert all(type(c) is Fraction for c in got.coords)
+
+
+def _slice_by_index(m, slot, v):
+    """``slice_slot`` restated: one Fraction sum per result entry."""
+    dims = m.input_dims[: slot - 1] + m.input_dims[slot:]
+    return tuple(
+        sum(
+            (m.entry((l,) + idx[: slot - 1] + (j,) + idx[slot - 1:]) * v.coords[j]
+             for j in range(v.dim)),
+            Fraction(0),
+        )
+        for l in range(m.codomain_dim)
+        for idx in _basis_tuples(dims)
+    )
+
+
+def _compose_by_index(outer, inner, slot):
+    """``compose_into_slot`` restated: one Fraction sum per result entry."""
+    pre, post = outer.input_dims[: slot - 1], outer.input_dims[slot:]
+    k = slot - 1
+    return tuple(
+        sum(
+            (outer.entry((l,) + idx[:k] + (j,) + idx[k + inner.arity:])
+             * inner.entry((j,) + idx[k:k + inner.arity])
+             for j in range(inner.codomain_dim)),
+            Fraction(0),
+        )
+        for l in range(outer.codomain_dim)
+        for idx in _basis_tuples(pre + inner.input_dims + post)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_slice_slot_equals_per_index_sums(data):
+    m = _draw_map(data, data.draw(st.integers(2, 3)))
+    slot = data.draw(st.integers(1, m.arity))
+    v = _draw_vector(data, m.input_dims[slot - 1])
+    got = slice_slot(m, slot, v)
+    assert got.entries == _slice_by_index(m, slot, v)
+    assert all(type(e) is Fraction for e in got.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_compositions_equal_per_index_sums(data):
+    outer = _draw_map(data, data.draw(st.integers(1, 3)))
+    slot = data.draw(st.integers(1, outer.arity))
+    inner = _draw_map(data, data.draw(st.integers(1, 2)), outer.input_dims[slot - 1])
+    got = compose_into_slot(outer, inner, slot)
+    assert got.entries == _compose_by_index(outer, inner, slot)
+    assert all(type(e) is Fraction for e in got.entries)
+    post = _draw_map(data, 1)
+    m = _draw_map(data, data.draw(st.integers(1, 3)), post.input_dims[0])
+    got = compose_codomain(post, m)
+    assert got.axis_labels == m.axis_labels
+    assert got.entries == _compose_by_index(post, m, 1)
+    assert all(type(e) is Fraction for e in got.entries)
 
 
 def test_evaluate_at_zero_gives_fraction_zeros():
