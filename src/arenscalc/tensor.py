@@ -14,11 +14,15 @@ the axis currently sits at odd dual level; comparisons align axes by label
 so that two realizations are compared slot-order blind.
 
 One strided kernel does the numeric work: ``_permute`` reorders axes by a
-single gather through flat offsets, and ``_contract_last`` contracts the
+single gather through flat offsets, and ``_contract_ints`` contracts the
 fastest axis with a vector; the offsets of each (shape, axis order) pair
-are built once and cached.  A word is realized as one permutation: its
-axis order and dual levels are read from ``semantics.axis_semantics`` and
-applied by a single ``transpose``.
+are built once and cached.  Contractions run in an integer lane: each
+operand is scaled once to Python ints over one common denominator (the lcm
+of its denominators), contracted in ints, and turned back into exact
+``Fraction``s once.  Integer results, and ``random_map``'s draws, come
+from one bounded cache, so equal small entries are one shared object.
+A word is realized as one permutation: its axis order and dual levels are
+read from ``semantics.axis_semantics`` and applied by a single ``transpose``.
 ``equal`` compares the aligned entries in one tuple comparison, which is
 mostly identity checks since realizations share their base's ``Fraction``
 objects, and scans for the first mismatch only when it fails.  An identity
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, islice, product
-from math import prod
+from math import lcm, prod
 from operator import add, ne
 
 from . import semantics
@@ -167,16 +171,43 @@ def _permute(entries, shape, new_axes) -> tuple:
     return tuple(map(entries.__getitem__, _plan(tuple(shape), new_axes)))
 
 
-def _contract_last(vals, x) -> list | tuple:
-    """Contract the fastest axis of row-major ``vals`` with coordinates x."""
+# small integers recur in almost every map; one shared object per value also
+# lets ``equal``'s tuple comparison succeed on identity
+_integer = lru_cache(maxsize=1024)(Fraction)
+del _integer.__wrapped__  # as for _plan
+
+
+def _integers(vals) -> tuple[list[int], int]:
+    """Integers n and one common denominator D with vals[i] == n[i] / D."""
+    den = lcm(*{v.denominator for v in vals})
+    if den == 1:
+        return [v.numerator for v in vals], 1
+    return [v.numerator * (den // v.denominator) for v in vals], den
+
+
+def _fractions(ints, den: int) -> list[Fraction]:
+    """The exact values ints[i] / den."""
+    if den == 1:
+        return list(map(_integer, ints))
+    return [Fraction(n, den) for n in ints]
+
+
+def _contract_ints(ints, x) -> list[int]:
+    """Contract the fastest axis of row-major integers with integer coordinates x."""
     d = len(x)
     out = None
     for i, c in enumerate(x):
-        if c == 0:
-            continue
-        col = vals[i::d] if c == 1 else [v * c for v in vals[i::d]]
-        out = col if out is None else list(map(add, out, col))
-    return [Fraction(0)] * (len(vals) // d) if out is None else out
+        if c:
+            col = ints[i::d] if c == 1 else [v * c for v in ints[i::d]]
+            out = col if out is None else list(map(add, out, col))
+    return [0] * (len(ints) // d) if out is None else out
+
+
+def _contract_last(vals, x) -> list[Fraction]:
+    """Contract the fastest axis of row-major ``vals`` with coordinates x."""
+    ints, den = _integers(vals)
+    xs, e = _integers(x)
+    return _fractions(_contract_ints(ints, xs), den * e)
 
 
 def _slot_last(m: MultiMap, axis: int) -> tuple:
@@ -227,10 +258,11 @@ def evaluate(m: MultiMap, args) -> Vector:
             raise DimensionMismatch(
                 f"{m.name}: argument dims {[a.dim for a in args]} vs {m.input_dims}"
             )
-    vals = m.entries
+    vals, den = _integers(m.entries)
     for v in reversed(args):
-        vals = _contract_last(vals, v.coords)
-    return Vector(tuple(vals))
+        xs, e = _integers(v.coords)
+        vals, den = _contract_ints(vals, xs), den * e
+    return Vector(tuple(_fractions(vals, den)))
 
 
 _AXIS_INDEX: dict[int, dict[str, int]] = {}  # base axis name -> position, per arity
@@ -342,7 +374,7 @@ def random_map(arity, input_dims, codomain_dim, seed, entry_bound=9, name="f") -
     rng, dims = random.Random(seed), tuple(input_dims)
     draws = (rng.randint(-entry_bound, entry_bound) for _ in range(codomain_dim * prod(dims)))
     labels = default_labels(len(dims))
-    return MultiMap(name, len(dims), dims, codomain_dim, labels, tuple(map(Fraction, draws)))
+    return MultiMap(name, len(dims), dims, codomain_dim, labels, tuple(map(_integer, draws)))
 
 
 def compose_into_slot(outer: MultiMap, inner: MultiMap, slot: int, name=None) -> MultiMap:
@@ -360,17 +392,17 @@ def compose_into_slot(outer: MultiMap, inner: MultiMap, slot: int, name=None) ->
         )
     # outer with the slot axis last, inner with its codomain last; one
     # contraction per inner input index b gives the block (b; l, pre, post)
-    moved = _slot_last(outer, slot)
+    moved, den = _integers(_slot_last(outer, slot))
     mid = inner.codomain_dim
-    rows = _slot_last(inner, 0)
+    rows, e = _integers(_slot_last(inner, 0))
     blocks = []
     for r in range(0, len(rows), mid):
-        blocks += _contract_last(moved, rows[r:r + mid])
+        blocks += _contract_ints(moved, rows[r:r + mid])
     # axes (b, l, pre..., post...) -> (l, pre..., b, post...), b flattened
     pre, post = outer.input_dims[: slot - 1], outer.input_dims[slot:]
     shape = (len(rows) // mid, outer.codomain_dim) + pre + post
     order = tuple(range(1, slot + 1)) + (0,) + tuple(range(slot + 1, len(shape)))
-    entries = _permute(blocks, shape, order)
+    entries = _permute(_fractions(blocks, den * e), shape, order)
     dims = pre + inner.input_dims + post
     return MultiMap(
         name if name is not None else f"{outer.name}.{inner.name}.s{slot}",

@@ -228,6 +228,9 @@ def test_random_map_is_deterministic():
     c = random_map(3, (2, 2, 2), 2, seed=100)
     assert a.entries == b.entries
     assert a.entries != c.entries
+    # equal small entries of two maps are one interned object
+    pairs = [(x, y) for x in a.entries for y in c.entries if x == y]
+    assert pairs and all(x is y for x, y in pairs)
 
 
 def test_json_round_trip_is_bit_exact(tmp_path):
