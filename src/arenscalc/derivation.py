@@ -149,6 +149,19 @@ def right_action_composite(
     )
 
 
+def _dual_family(cand: TriDerivationCandidate):
+    """The dual-action composite of any functional, from one composition."""
+    # under the dot pairing the value at (a, d, b) pairs with e_k to
+    # xstar . left_action(b, D(a, d, k)); adjoint moves k to the codomain
+    # and the carrier axis to slot 1, where xstar is contracted away
+    kl = adjoint(compose_into_slot(cand.module.left_action, cand.tri_map, 2))  # (k; l, b, a, d)
+    n = cand.module.algebra.dim
+    return lambda xstar, name: MultiMap(  # slicing xstar away leaves (k; b, a, d)
+        name, 3, (n, n, n), n, ("out*", "in1", "in2", "in3"),
+        transpose(slice_slot(kl, 1, xstar), (0, 2, 3, 1)).entries,
+    )
+
+
 def dual_action_composite(
     cand: TriDerivationCandidate, xstar: Vector, name: str | None = None
 ) -> MultiMap:
@@ -157,21 +170,9 @@ def dual_action_composite(
     Lands in the algebra dual; the codomain axis is labelled with a star
     to keep the dual level visible to later realizations.
     """
-    D = cand.tri_map
     if xstar.dim != cand.module.carrier_dim:
-        raise ShapeMismatch(
-            f"functional dim {xstar.dim} vs carrier dim {cand.module.carrier_dim}"
-        )
-    # under the dot pairing the value at (a, d, b) pairs with e_k to
-    # xstar . left_action(b, D(a, d, k)); adjoint moves k to the codomain
-    # and the carrier axis to slot 1, where xstar is contracted away
-    lbd = compose_into_slot(cand.module.left_action, D, 2)  # (l; b, a, d, k)
-    kbad = slice_slot(adjoint(lbd), 1, xstar)  # (k; b, a, d)
-    n = cand.module.algebra.dim
-    return MultiMap(
-        name if name is not None else f"{cand.name}.dc", 3, (n, n, n), n,
-        ("out*", "in1", "in2", "in3"), transpose(kbad, (0, 2, 3, 1)).entries,
-    )
+        raise ShapeMismatch(f"functional dim {xstar.dim} vs carrier dim {cand.module.carrier_dim}")
+    return _dual_family(cand)(xstar, name if name is not None else f"{cand.name}.dc")
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +202,10 @@ def _families(cand: TriDerivationCandidate):
     """The right-action and dual-action composite families of a candidate,
     each as (builder for one basis index, basis size)."""
     n, d = cand.module.algebra.dim, cand.module.carrier_dim
+    dual = _dual_family(cand)
     return (
         (lambda k: right_action_composite(cand, basis_vector(n, k), name=f"rc{k}"), n),
-        (lambda k: dual_action_composite(cand, basis_vector(d, k), name=f"dc{k}"), d),
+        (lambda k: dual(basis_vector(d, k), f"dc{k}"), d),
     )
 
 
@@ -282,12 +284,14 @@ def fourth_adjoint_check(cand: TriDerivationCandidate) -> list[Row]:
     rep = equal(dxx, D)
     rows.append(("fourth adjoint reproduces the candidate", rep.equal, rep.render()))
 
+    roles = ("product", "left action", "right action")  # one name for all three on A acting on A
     structure = (alg.multiplication, cand.module.left_action, cand.module.right_action)
     for tag, lead in zip(("first", "second"), ARENS_FLIPS):
-        pixx, lxx, rxx = (extensions(m, (lead,))[lead] for m in structure)
-        changed = [r for r in map(equal, (pixx, lxx, rxx), structure) if not r.equal]
+        pixx, lxx, rxx = exts = [extensions(m, (lead,))[lead] for m in structure]
+        reps = zip(roles, map(equal, exts, structure))
+        changed = [f"{role}: {r.render()}" for role, r in reps if not r.equal]
         if changed:
-            rows.append((f"extended structure ({tag} product)", False, changed[0].render()))
+            rows.append((f"extended structure ({tag} product)", False, changed[0]))
             continue
         ext_alg = AlgebraModel(alg.dim, pixx, alg.unit, alg.basis_names)
         ext_alg.validate()

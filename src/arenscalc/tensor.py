@@ -14,18 +14,17 @@ the axis currently sits at odd dual level; comparisons align axes by label
 so that two realizations are compared slot-order blind.
 
 One strided kernel does the numeric work: ``_permute`` reorders axes by a
-single gather through flat offsets, and ``_contract_ints`` contracts the
-fastest axis with a vector; the offsets of each (shape, axis order) pair
-are built once and cached.  Contractions run in an integer lane: each
-operand is scaled once to Python ints over one common denominator (the lcm
-of its denominators), contracted in ints, and turned back into exact
-``Fraction``s once.  Integer results, and ``random_map``'s draws, come
-from one bounded cache, so equal small entries are one shared object.
-A word is realized as one permutation: its axis order and dual levels are
-read from ``semantics.axis_semantics`` and applied by a single ``transpose``.
+single gather through flat offsets, cached per (shape, axis order), and
+``_contract_last`` contracts the fastest axis with a vector in integers:
+each operand is scaled once to ints over one common denominator (the lcm
+of its denominators), and the exact ``Fraction``s are built once at the
+end, integers (and ``random_map``'s draws) from one bounded cache.  A word
+is realized as one permutation: its axis order and dual levels are read
+from ``semantics.axis_semantics`` and applied by a single ``transpose``.
 ``equal`` compares the aligned entries in one tuple comparison, which is
 mostly identity checks since realizations share their base's ``Fraction``
-objects, and scans for the first mismatch only when it fails.  An identity
+objects and equal small integers are one cached object, and scans for the
+first mismatch only when it fails.  An identity
 between sums of composed maps is checked by ``_first_mismatch_block``,
 which reads every side with the codomain axis last and reports the first
 differing block as a lexicographic witness.
@@ -171,9 +170,7 @@ def _permute(entries, shape, new_axes) -> tuple:
     return tuple(map(entries.__getitem__, _plan(tuple(shape), new_axes)))
 
 
-# small integers recur in almost every map; one shared object per value also
-# lets ``equal``'s tuple comparison succeed on identity
-_integer = lru_cache(maxsize=1024)(Fraction)
+_integer = lru_cache(maxsize=1024)(Fraction)  # one shared object per small integer
 del _integer.__wrapped__  # as for _plan
 
 
@@ -187,12 +184,10 @@ def _integers(vals) -> tuple[list[int], int]:
 
 def _fractions(ints, den: int) -> list[Fraction]:
     """The exact values ints[i] / den."""
-    if den == 1:
-        return list(map(_integer, ints))
-    return [Fraction(n, den) for n in ints]
+    return list(map(_integer, ints)) if den == 1 else [Fraction(n, den) for n in ints]
 
 
-def _contract_ints(ints, x) -> list[int]:
+def _contract_last(ints, x) -> list[int]:
     """Contract the fastest axis of row-major integers with integer coordinates x."""
     d = len(x)
     out = None
@@ -201,13 +196,6 @@ def _contract_ints(ints, x) -> list[int]:
             col = ints[i::d] if c == 1 else [v * c for v in ints[i::d]]
             out = col if out is None else list(map(add, out, col))
     return [0] * (len(ints) // d) if out is None else out
-
-
-def _contract_last(vals, x) -> list[Fraction]:
-    """Contract the fastest axis of row-major ``vals`` with coordinates x."""
-    ints, den = _integers(vals)
-    xs, e = _integers(x)
-    return _fractions(_contract_ints(ints, xs), den * e)
 
 
 def _slot_last(m: MultiMap, axis: int) -> tuple:
@@ -261,7 +249,7 @@ def evaluate(m: MultiMap, args) -> Vector:
     vals, den = _integers(m.entries)
     for v in reversed(args):
         xs, e = _integers(v.coords)
-        vals, den = _contract_ints(vals, xs), den * e
+        vals, den = _contract_last(vals, xs), den * e
     return Vector(tuple(_fractions(vals, den)))
 
 
@@ -304,13 +292,21 @@ class IdentityReport:
         )
 
 
+def _shown(labels: tuple, limit: int = 8) -> str:
+    """Labels as text, with the labels past ``limit`` counted, not listed."""
+    more = len(labels) - limit
+    return str(labels) if more <= 0 else f"{str(labels[:limit])[:-1]}, ... {more} more)"
+
+
 def equal(left: MultiMap, right: MultiMap, atol: Fraction | float | None = None) -> IdentityReport:
     """Entrywise comparison after aligning the right map's axes by label."""
     if left.arity != right.arity:
         raise ShapeMismatch(f"arity {left.arity} vs {right.arity}")
     index = {label: k for k, label in enumerate(right.axis_labels)}
     if index.keys() != set(left.axis_labels):
-        raise ShapeMismatch(f"cannot align labels {right.axis_labels} to {left.axis_labels}")
+        raise ShapeMismatch(
+            f"cannot align labels {_shown(right.axis_labels)} to {_shown(left.axis_labels)}"
+        )
     axes = tuple(map(index.__getitem__, left.axis_labels))
     shape = tuple(map(right.shape.__getitem__, axes))
     if shape != left.shape:
@@ -397,7 +393,7 @@ def compose_into_slot(outer: MultiMap, inner: MultiMap, slot: int, name=None) ->
     rows, e = _integers(_slot_last(inner, 0))
     blocks = []
     for r in range(0, len(rows), mid):
-        blocks += _contract_ints(moved, rows[r:r + mid])
+        blocks += _contract_last(moved, rows[r:r + mid])
     # axes (b, l, pre..., post...) -> (l, pre..., b, post...), b flattened
     pre, post = outer.input_dims[: slot - 1], outer.input_dims[slot:]
     shape = (len(rows) // mid, outer.codomain_dim) + pre + post
@@ -438,13 +434,11 @@ def slice_slot(m: MultiMap, slot: int, vec: Vector, name=None) -> MultiMap:
             f"slot {slot} of {m.name} has dim {m.input_dims[slot - 1]}, vector {vec.dim}"
         )
     dims = m.input_dims[: slot - 1] + m.input_dims[slot:]
-    labels = (m.axis_labels[0],) + tuple(
-        lab for k, lab in enumerate(m.axis_labels[1:]) if k != slot - 1
-    )
+    (ints, den), (xs, e) = _integers(_slot_last(m, slot)), _integers(vec.coords)
     return MultiMap(
         name if name is not None else f"{m.name}|s{slot}",
-        m.arity - 1, dims, m.codomain_dim, labels,
-        tuple(_contract_last(_slot_last(m, slot), vec.coords)),
+        m.arity - 1, dims, m.codomain_dim, m.axis_labels[:slot] + m.axis_labels[slot + 1:],
+        tuple(_fractions(_contract_last(ints, xs), den * e)),
     )
 
 

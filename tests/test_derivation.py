@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -16,6 +17,7 @@ from arenscalc.algebra import (
     regular_module,
     truncated_poly_algebra,
 )
+import arenscalc.derivation as derivation_module
 from arenscalc.derivation import (
     FIXTURE_NAMES,
     _families,
@@ -432,12 +434,54 @@ def test_fourth_adjoint_failure_details_are_pinned(perturb_realized):
         (
             "extended structure (first product)",
             False,
-            "FAIL  l^{***} != l at index [0, 0, 0]: 2 vs 1",
+            "left action: FAIL  l^{***} != l at index [0, 0, 0]: 2 vs 1",
         ),
         (
             "extended structure (second product)",
             False,
-            "FAIL  r^{r***r} != r at index [0, 0, 0]: 2 vs 1",
+            "right action: FAIL  r^{r***r} != r at index [0, 0, 0]: 2 vs 1",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("role", ["product", "left action", "right action"])
+def test_fourth_adjoint_failure_names_the_structure_map(monkeypatch, role):
+    # poly3-euler's product and both actions are one map named "pi"; give
+    # each role its own equal copy and break the extensions of one of them
+    base = derivation_fixture("poly3-euler")
+    alg, mod = base.module.algebra, base.module
+    structure = {
+        r: dataclasses.replace(m)
+        for r, m in zip(
+            ("product", "left action", "right action"),
+            (alg.multiplication, mod.left_action, mod.right_action),
+        )
+    }
+    ext_alg = AlgebraModel(alg.dim, structure["product"], alg.unit, alg.basis_names)
+    cand = TriDerivationCandidate(base.name, base.tri_map, BanachModuleModel(
+        ext_alg, mod.carrier_dim, structure["left action"], structure["right action"]
+    ))
+    real = derivation_module.extensions
+
+    def extensions(m, leads):
+        exts = real(m, leads)
+        if m is structure[role]:
+            exts = {lead: dataclasses.replace(e, entries=(e.entries[0] + 1,) + e.entries[1:])
+                    for lead, e in exts.items()}
+        return exts
+
+    monkeypatch.setattr(derivation_module, "extensions", extensions)
+    rows = fourth_adjoint_check(cand)
+    assert rows[1:3] == [
+        (
+            "extended structure (first product)",
+            False,
+            f"{role}: FAIL  pi^{{***}} != pi at index [0, 0, 0]: 2 vs 1",
+        ),
+        (
+            "extended structure (second product)",
+            False,
+            f"{role}: FAIL  pi^{{r***r}} != pi at index [0, 0, 0]: 2 vs 1",
         ),
     ]
 

@@ -19,6 +19,7 @@ from arenscalc.tensor import (
     basis_vector,
     compose_codomain,
     compose_into_slot,
+    default_labels,
     equal,
     evaluate,
     flip,
@@ -622,6 +623,14 @@ def test_equal_shape_mismatch_messages():
     with pytest.raises(ShapeMismatch) as exc:
         equal(f, flip(random_map(3, (2, 2, 3), 2, seed=23), "t"))
     assert str(exc.value) == "dims (2, 2, 2, 2) vs (2, 2, 2, 3) after label alignment"
+    # past eight labels the message counts the rest
+    wide = MultiMap("w", 11, (1,) * 11, 1, default_labels(11), (Fraction(1),))
+    with pytest.raises(ShapeMismatch) as exc:
+        equal(wide, adjoint(wide))
+    assert str(exc.value) == (
+        "cannot align labels ('in11*', 'out*', 'in1', 'in2', 'in3', 'in4', 'in5', 'in6', "
+        "... 4 more) to ('out', 'in1', 'in2', 'in3', 'in4', 'in5', 'in6', 'in7', ... 4 more)"
+    )
 
 
 def test_random_map_matches_entrywise_build():
