@@ -24,10 +24,10 @@ from ``semantics.axis_semantics`` and applied by a single ``transpose``.
 ``equal`` compares the aligned entries in one tuple comparison, which is
 mostly identity checks since realizations share their base's ``Fraction``
 objects and equal small integers are one cached object, and scans for the
-first mismatch only when it fails.  An identity
-between sums of composed maps is checked by ``_first_mismatch_block``,
-which reads every side with the codomain axis last and reports the first
-differing block as a lexicographic witness.
+first mismatch only when it fails.  An identity between sums of composed
+maps is checked by ``_first_mismatch_block``, which reads every side with
+the codomain axis last and reports the first differing block as a
+lexicographic witness.
 
 All entries are ``fractions.Fraction`` and all checks are exact.  An
 absolute tolerance can be passed to ``equal`` for data imported from floats;
