@@ -19,15 +19,16 @@ single gather through flat offsets, cached per (shape, axis order), and
 each operand is scaled once to ints over one common denominator (the lcm
 of its denominators), and the exact ``Fraction``s are built once at the
 end, integers (and ``random_map``'s draws) from one bounded cache.  A word
-is realized as one permutation: its axis order and dual levels are read
-from ``semantics.axis_semantics`` and applied by a single ``transpose``.
+is realized as one permutation: ``realizer`` folds it once, through
+``semantics.axis_semantics``, into an axis order and dual levels,
+and applies that to any base map of its arity by a single ``transpose``.
 ``equal`` compares the aligned entries in one tuple comparison, which is
 mostly identity checks since realizations share their base's ``Fraction``
 objects and equal small integers are one cached object, and scans for the
 first mismatch only when it fails.  An identity between sums of composed
-maps is checked by ``_first_mismatch_block``, which reads every side with
-the codomain axis last and reports the first differing block as a
-lexicographic witness.
+maps is checked by ``_first_mismatch_block``, which sums every side in
+ints with the codomain axis last and reports the first differing block as
+a lexicographic witness.
 
 All entries are ``fractions.Fraction`` and all checks are exact.  An
 absolute tolerance can be passed to ``equal`` for data imported from floats;
@@ -40,6 +41,7 @@ import json
 import random
 import re
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -256,23 +258,35 @@ def evaluate(m: MultiMap, args) -> Vector:
 _AXIS_INDEX: dict[int, dict[str, int]] = {}  # base axis name -> position, per arity
 
 
-def realize(expr: ExprAst, base: MultiMap) -> MultiMap:
-    """Apply an expression's operations to a concrete base map.
+def realizer(expr: ExprAst, arity: int) -> Callable[[MultiMap], MultiMap]:
+    """Fold an expression's operations once, for base maps of ``arity``.
 
-    ``semantics.axis_semantics`` folds the word into the base axis and dual
-    level of every position, and a single ``transpose`` applies that;
-    ``adjoint`` and ``flip`` are the step-by-step reference.
+    ``semantics.axis_semantics`` folds the word into an axis order and the
+    dual level of every position; the returned function applies that fold
+    to a base map by a single ``transpose``, naming the result after the
+    base map.  ``adjoint`` and ``flip`` are the step-by-step reference.
     """
-    asg = semantics.axis_semantics(expr, base.arity)
-    index = _AXIS_INDEX.get(base.arity)
+    asg = semantics.axis_semantics(expr, arity)
+    index = _AXIS_INDEX.get(arity)
     if index is None:
-        index = _AXIS_INDEX[base.arity] = {a: k for k, a in enumerate(default_labels(base.arity))}
+        index = _AXIS_INDEX[arity] = {a: k for k, a in enumerate(default_labels(arity))}
     axes = tuple(map(index.__getitem__, (asg.codomain_axis,) + asg.slot_axes))
-    labels = tuple(
-        toggle_dual(base.axis_labels[a]) if level % 2 else base.axis_labels[a]
-        for a, level in zip(axes, (asg.codomain_level,) + asg.slot_levels)
-    )
-    return transpose(base, axes, name=ExprAst(base.name, expr.ops).render(), labels=labels)
+    levels = (asg.codomain_level,) + asg.slot_levels
+    suffix = ExprAst("", expr.ops).render()
+
+    def apply(base: MultiMap) -> MultiMap:
+        if base.arity != arity:
+            raise ShapeMismatch(f"{base.name}: arity {base.arity}, word folded at arity {arity}")
+        own = base.axis_labels
+        labels = tuple(toggle_dual(own[a]) if lv % 2 else own[a] for a, lv in zip(axes, levels))
+        return transpose(base, axes, name=base.name + suffix, labels=labels)
+
+    return apply
+
+
+def realize(expr: ExprAst, base: MultiMap) -> MultiMap:
+    """Apply an expression's operations to a concrete base map."""
+    return realizer(expr, base.arity)(base)
 
 
 @dataclass(frozen=True)
@@ -309,8 +323,11 @@ def equal(left: MultiMap, right: MultiMap, atol: Fraction | float | None = None)
         )
     axes = tuple(map(index.__getitem__, left.axis_labels))
     shape = tuple(map(right.shape.__getitem__, axes))
-    if shape != left.shape:
-        raise ShapeMismatch(f"dims {left.shape} vs {shape} after label alignment")
+    if shape != left.shape:  # past eight axes, only the first that differs
+        k = next(compress(count(), map(ne, left.shape, shape)))
+        dims = f"{left.shape} vs {shape}" if len(shape) <= 8 else (
+            f"{left.shape[k]} vs {shape[k]} on axis {left.axis_labels[k]}")
+        raise ShapeMismatch(f"dims {dims} after label alignment")
     aligned = _permute(right.entries, right.shape, axes)
     if left.entries == aligned:
         return IdentityReport(left.name, right.name, True)
@@ -324,53 +341,69 @@ def equal(left: MultiMap, right: MultiMap, atol: Fraction | float | None = None)
     return IdentityReport(left.name, right.name, True)
 
 
-def _add_sparse(x: Fraction, y: Fraction) -> Fraction:
-    """x + y without the pure-Python Fraction addition when either is 0;
-    composed structure maps are mostly zeros."""
-    return x + y if x and y else x or y
-
-
 def _first_mismatch_block(inputs: str, lhs, rhs) -> tuple[int, ...] | None:
     """Where two sums of maps, read as functions of common inputs, differ.
 
     ``inputs`` names the common inputs, one letter each, and every side is
     a sequence of ``(map, names)`` terms whose ``names`` letter the map's
     input slots.  Each term is permuted once to the common input order
-    with the codomain axis last, and the terms of a side are added, so
-    every input index owns one contiguous codomain block.  Returns the
-    input index (in ``inputs`` order) of the first block on which the two
-    sides differ, which is the first failing tuple of a lexicographic
-    basis scan, or None when the sides agree.  Sums are formed lazily,
-    so the scan stops at the first differing entry.
+    with the codomain axis last and scaled to ints over one common
+    denominator, and the terms of a side are added, so every input index
+    owns one contiguous codomain block.  Returns the input index (in
+    ``inputs`` order) of the first block on which the two sides differ,
+    which is the first failing tuple of a lexicographic basis scan, or
+    None when the sides agree.
     """
-    shapes = set()
-
-    def total(terms):
-        out = None
+    shapes, sides = set(), ([], [])
+    for side, terms in zip(sides, (lhs, rhs)):
         for m, names in terms:
             axes = tuple(1 + names.index(v) for v in inputs) + (0,)
             shapes.add(tuple(m.shape[a] for a in axes))
-            vals = _permute(m.entries, m.shape, axes)
-            out = vals if out is None else map(_add_sparse, out, vals)
-        return out
-
-    left, right = total(lhs), total(rhs)
+            side.append(_integers(_permute(m.entries, m.shape, axes)))
     if len(shapes) != 1:
         raise ShapeMismatch(f"terms of one identity disagree in shape: {sorted(shapes)}")
     (shape,) = shapes
-    pos = next(compress(count(), map(ne, left, right)), None)
-    if pos is None:
+    den = lcm(*(d for side in sides for _, d in side))
+    scaled = ([ints if d == den else [v * den // d for v in ints] for ints, d in t] for t in sides)
+    left, right = (list(map(sum, zip(*terms))) for terms in scaled)
+    if left == right:
         return None
+    pos = next(compress(count(), map(ne, left, right)))
     return next(islice(product(*map(range, shape[:-1])), pos // shape[-1], None))
+
+
+@lru_cache(maxsize=128)
+def _top_bytes(bound: int) -> tuple[bytes, tuple[Fraction, ...]]:
+    """For 2 * bound + 1 < 256 values: the top bytes of 32-bit words that
+    ``randint(-bound, bound)`` rejects, and the value each other byte draws."""
+    span = 2 * bound + 1
+    shift = 8 - span.bit_length()
+    kept = range(span << shift)
+    return bytes(range(len(kept), 256)), tuple(_integer((v >> shift) - bound) for v in kept)
+
+
+del _top_bytes.__wrapped__  # as for _plan
 
 
 def random_map(arity, input_dims, codomain_dim, seed, entry_bound=9, name="f") -> MultiMap:
     """Deterministic random integer-entried map for a given seed; entries
-    are drawn in row-major order."""
+    are ``rng.randint(-entry_bound, entry_bound)`` draws in row-major order.
+    A draw from fewer than 256 values is the top bits of one 32-bit word,
+    kept if in range: read from one ``getrandbits`` call's top bytes."""
     rng, dims = random.Random(seed), tuple(input_dims)
-    draws = (rng.randint(-entry_bound, entry_bound) for _ in range(codomain_dim * prod(dims)))
+    size = codomain_dim * prod(dims)
+    if 0 <= entry_bound < 128:
+        rejected, values = _top_bytes(entry_bound)
+        draws = b""
+        while len(draws) < size:
+            words = 2 * (size - len(draws))
+            top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+            draws += top.translate(None, rejected)
+        entries = tuple(map(values.__getitem__, draws[:size]))
+    else:
+        entries = tuple(_integer(rng.randint(-entry_bound, entry_bound)) for _ in range(size))
     labels = default_labels(len(dims))
-    return MultiMap(name, len(dims), dims, codomain_dim, labels, tuple(map(_integer, draws)))
+    return MultiMap(name, len(dims), dims, codomain_dim, labels, entries)
 
 
 def compose_into_slot(outer: MultiMap, inner: MultiMap, slot: int, name=None) -> MultiMap:

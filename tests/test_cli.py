@@ -212,6 +212,19 @@ def test_check_arity_20000_map_mismatch_exits_in_bounded_time(arity_20000_map, c
     assert len(_one_error_line(capsys, "error: ShapeMismatch: ").encode()) < 1024
 
 
+def test_check_arity_20000_maps_of_other_dims_exit_with_one_short_line(
+    arity_20000_map, tmp_path, capsys
+):
+    n = 20_000
+    dims = (1,) * (n - 1) + (2,)
+    wider = tmp_path / "a20000-wider.json"
+    save_map(MultiMap("f", n, dims, 1, default_labels(n), (Fraction(3),) * 2), wider)
+    assert main(["check", "f", "f", "--map", arity_20000_map, "--map", str(wider)]) == 2
+    line = _one_error_line(capsys, "error: ShapeMismatch: ")
+    assert len(line.encode()) < 1024
+    assert line.endswith("dims 1 vs 2 on axis in20000 after label alignment")
+
+
 def test_check_map_missing_file(capsys):
     assert main(["check", "f", "f", "--map", "/nonexistent/m.json"]) == 2
 
@@ -287,12 +300,23 @@ def test_report_default_bytes_are_pinned(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "seed, md5",
-    [("3", "07764a0cb17f94e19f9d1dc842fdebde"), ("12", "c85a0358bb8577a5757697f7f7433cf8")],
+    "args, md5",
+    [
+        ("3", "07764a0cb17f94e19f9d1dc842fdebde"),
+        ("12", "c85a0358bb8577a5757697f7f7433cf8"),
+        (
+            "7 --dims 3,1,2,2 --trials 5 --instances 3 --fixture s3",
+            "5a1ad16261f2e1afc3bade926122f72b",
+        ),
+        (
+            "5 --dims 1,2,3,2 --trials 7 --instances 4 --fixture z2 --fixture z4",
+            "910c5514410db69f98f0a681e2045fe6",
+        ),
+    ],
 )
-def test_report_bytes_are_pinned_at_more_seeds(tmp_path, capsys, seed, md5):
+def test_report_bytes_are_pinned_at_more_seeds(tmp_path, capsys, args, md5):
     out = tmp_path / "report.md"
-    assert main(["report", "--seed", seed, "--out", str(out)]) == 0
+    assert main(["report", "--seed", *args.split(), "--out", str(out)]) == 0
     assert hashlib.md5(out.read_bytes()).hexdigest() == md5
 
 

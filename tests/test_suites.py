@@ -4,7 +4,7 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from arenscalc import suites
+from arenscalc import semantics, suites
 from arenscalc.expr import ExprAst, parse
 from arenscalc.suites import (
     CHAIN_GROUPS,
@@ -17,7 +17,7 @@ from arenscalc.suites import (
     run_extension_sweep,
     run_group_fixture_suite,
 )
-from arenscalc.tensor import random_map, realize
+from arenscalc.tensor import random_map, realize, realizer
 
 
 def test_catalog_is_well_formed():
@@ -75,13 +75,18 @@ def _break_s_extension(monkeypatch):
     """Make f^{s****t} disagree with the other extensions, in entry 0,
     on maps whose first input has dimension 3."""
 
-    def perturbed(expr, m):
-        out = realize(expr, m)
-        if expr.ops == tuple("s****t") and m.input_dims[0] == 3:
-            out = dataclasses.replace(out, entries=(out.entries[0] + 1,) + out.entries[1:])
-        return out
+    def perturbed(expr, arity):
+        fold = realizer(expr, arity)
 
-    monkeypatch.setattr(suites, "realize", perturbed)
+        def apply(m):
+            out = fold(m)
+            if expr.ops == tuple("s****t") and m.input_dims[0] == 3:
+                out = dataclasses.replace(out, entries=(out.entries[0] + 1,) + out.entries[1:])
+            return out
+
+        return apply
+
+    monkeypatch.setattr(suites, "realizer", perturbed)
 
 
 def test_sweep_failure_detail_is_pinned(monkeypatch):
@@ -113,6 +118,19 @@ def test_chain_failure_details_are_pinned(monkeypatch):
         ),
     ]
     assert all(row.detail == "4/4 instances" for row in rows if row.passed)
+
+
+def test_chain_suite_folds_each_word_once(monkeypatch):
+    calls = []
+    real = semantics.axis_semantics
+
+    def counting(expr, base_arity=3):
+        calls.append(expr)
+        return real(expr, base_arity)
+
+    monkeypatch.setattr(semantics, "axis_semantics", counting)
+    assert run_chain_suite(1, instances=4).passed
+    assert len(calls) == 34  # the two sides of 17 pairs, not once per instance
 
 
 def test_group_failure_detail_is_pinned(monkeypatch):

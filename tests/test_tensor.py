@@ -29,6 +29,7 @@ from arenscalc.tensor import (
     pair,
     random_map,
     realize,
+    realizer,
     save_map,
     slice_slot,
     to_dict,
@@ -446,12 +447,26 @@ def test_realize_equals_step_by_step_fold_on_every_short_word(arity):
     # distinct dims on every axis, so a misplaced axis changes the shape
     f = random_map(arity, tuple(range(2, arity + 2)), 1, seed=71)
     base = _fold("*" + letters[1:2], f)  # starred, reordered labels
+    # a second base of the same arity with other dims, name and labels
+    other = _fold(letters[1:][-1:] + "*", random_map(arity, (3,) * arity, 2, seed=72, name="g"))
     for length in range(6):
         for word in product(letters, repeat=length):
             got = realize(ExprAst("f", word), base)
             want = _fold(word, base)
             assert (got.axis_labels, got.shape) == (want.axis_labels, want.shape), word
             assert got.entries == want.entries, word
+            # one prepared fold serves every base of its arity
+            fold = realizer(ExprAst("f", word), arity)
+            assert fold(base) == got, word
+            assert fold(other) == realize(ExprAst("g", word), other), word
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_realizer_rejects_a_map_of_another_arity(arity):
+    fold = realizer(ExprAst("f", ("*",)), arity)
+    wrong = random_map(arity % 3 + 1, (2,) * (arity % 3 + 1), 2, seed=73)
+    with pytest.raises(ShapeMismatch):
+        fold(wrong)
 
 
 @settings(max_examples=200, deadline=None)
@@ -631,6 +646,11 @@ def test_equal_shape_mismatch_messages():
         "cannot align labels ('in11*', 'out*', 'in1', 'in2', 'in3', 'in4', 'in5', 'in6', "
         "... 4 more) to ('out', 'in1', 'in2', 'in3', 'in4', 'in5', 'in6', 'in7', ... 4 more)"
     )
+    # past eight axes a dims mismatch names its first differing axis
+    narrow = MultiMap("w", 11, (1,) * 10 + (2,), 1, default_labels(11), (Fraction(1),) * 2)
+    with pytest.raises(ShapeMismatch) as exc:
+        equal(wide, narrow)
+    assert str(exc.value) == "dims 1 vs 2 on axis in11 after label alignment"
 
 
 def test_random_map_matches_entrywise_build():
@@ -640,7 +660,7 @@ def test_random_map_matches_entrywise_build():
         dims = tuple(rng.randint(1, 4) for _ in range(arity))
         cod = rng.randint(1, 4)
         seed = rng.randrange(1 << 30)
-        bound = rng.choice((0, 1, 2, 9, 10**6))
+        bound = rng.choice((0, 1, 2, 9, 127, 128, 10**6))
         draws = random.Random(seed)
         want = from_function(
             "h", dims, cod, lambda *_: draws.randint(-bound, bound)
