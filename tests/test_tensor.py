@@ -647,9 +647,9 @@ def test_equal_shape_mismatch_messages():
         "... 4 more) to ('out', 'in1', 'in2', 'in3', 'in4', 'in5', 'in6', 'in7', ... 4 more)"
     )
     # past eight axes a dims mismatch names its first differing axis
-    narrow = MultiMap("w", 11, (1,) * 10 + (2,), 1, default_labels(11), (Fraction(1),) * 2)
+    other_dims = MultiMap("w", 11, (1,) * 10 + (2,), 1, default_labels(11), (Fraction(1),) * 2)
     with pytest.raises(ShapeMismatch) as exc:
-        equal(wide, narrow)
+        equal(wide, other_dims)
     assert str(exc.value) == "dims 1 vs 2 on axis in11 after label alignment"
 
 
