@@ -5,7 +5,9 @@ their Euler derivation, matrix algebras, and two-sided module
 structures.  On top of these sit the bilinear checks: the two canonical
 extensions of a product, the regularity comparison between them, the
 slice construction that turns a tri-linear map into a bilinear one, and
-the nested-map constraint check.
+the nested-map constraint check.  ``extensions`` reads each canonical
+extension from one bounded table of prepared realizers, filled on first
+use, so each (leading flip, arity) word is folded once per process.
 
 The structure laws (associativity, the unit law, the product rule and
 the three module laws) are checked as tensor equations: each side is
@@ -23,6 +25,7 @@ them sharp regression tests for the axis bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice, permutations, product
 
 from .expr import ExprAst
@@ -40,6 +43,7 @@ from .tensor import (
     evaluate,
     from_function,
     realize,
+    realizer,
     slice_slot,
     vector,
 )
@@ -298,9 +302,18 @@ def regular_module(model: AlgebraModel) -> BanachModuleModel:
 # bilinear extension checks
 
 
+@lru_cache(maxsize=64)
+def _extension(lead: str, arity: int):
+    """The canonical extension with leading flip ``lead``, folded once for ``arity``."""
+    return realizer(extension_expr(lead, "f", arity), arity)
+
+
+del _extension.__wrapped__  # as for tensor._plan
+
+
 def extensions(m: MultiMap, leads) -> dict[str, MultiMap]:
     """The canonical extensions of ``m`` at its own arity, keyed by leading flip."""
-    return {lead: realize(extension_expr(lead, m.name, m.arity), m) for lead in leads}
+    return {lead: _extension(lead, m.arity)(m) for lead in leads}
 
 
 def _arens_pair(m: MultiMap) -> tuple[MultiMap, MultiMap]:

@@ -24,6 +24,7 @@ from .algebra import (
     GROUP_FIXTURES,
     ConstraintViolated,
     cayley_fixture,
+    extensions,
     group_algebra,
     nested_bilinear_check,
     slice_bridge_check,
@@ -37,6 +38,7 @@ from .derivation import (
 )
 from .expr import parse
 from .semantics import (
+    EXTENSION_FLIPS,
     UNCOND_EQUAL,
     classify_text,
     flip_conjugation_checks,
@@ -137,20 +139,15 @@ def _pick_dims(rng: random.Random, count: int, fixed: Dims) -> tuple[int, ...]:
     return tuple(fixed[i % len(fixed)] for i in range(count))
 
 
-def _rand_tri(rng: random.Random, fixed: Dims = None, name: str = "f"):
+def _rand_tri(rng: random.Random, fixed: Dims = None):
     dx, dy, dz, dw = _pick_dims(rng, 4, fixed)
-    return random_map(3, (dx, dy, dz), dw, seed=rng.randrange(1 << 30), name=name)
+    return random_map(3, (dx, dy, dz), dw, seed=rng.randrange(1 << 30))
 
 
-def _six_extensions() -> list:
-    """The six extension words, each folded once."""
-    return [realizer(expr, 3) for expr, _ in natural_extensions()]
-
-
-def _six_disagree(f: MultiMap, six) -> str:
-    """First failure among the six extensions of f, each compared with
-    the first; empty when all six coincide."""
-    first, *others = [extension(f) for extension in six]
+def _six_disagree(f: MultiMap) -> str:
+    """First failure among the six extensions of f (``natural_extensions``
+    order), each compared with the first; empty when all six coincide."""
+    first, *others = extensions(f, EXTENSION_FLIPS).values()
     for other in others:
         rep = equal(first, other)
         if not rep.equal:
@@ -192,10 +189,10 @@ def run_symbolic_suite() -> SuiteSection:
 
 
 def run_extension_sweep(seed: int, trials: int = 100, dims: Dims = None) -> SuiteSection:
-    rng, six = random.Random(seed), _six_extensions()
+    rng = random.Random(seed)
     failures = []
     for k in range(trials):
-        bad = _six_disagree(_rand_tri(rng, dims), six)
+        bad = _six_disagree(_rand_tri(rng, dims))
         if bad:
             failures.append(f"trial {k}: {bad}")
     detail = f"{trials - len(failures)}/{trials} trials"
@@ -324,10 +321,10 @@ def run_nested_bilinear_cases(seed: int) -> SuiteSection:
 
 
 def run_group_fixture_suite(names=GROUP_FIXTURES) -> SuiteSection:
-    rows, six = [], _six_extensions()
+    rows = []
     for name in names:
         model, triple = group_algebra(cayley_fixture(name))
-        bad = _six_disagree(triple, six)
+        bad = _six_disagree(triple)
         rows.append(SuiteRow(f"{name}: six extensions coincide", not bad, bad))
         pi = model.multiplication
         stacked = compose_into_slot(pi, pi, 1, name="pipi")

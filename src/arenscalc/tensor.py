@@ -18,21 +18,20 @@ single gather through flat offsets, cached per (shape, axis order), and
 ``_contract_last`` contracts the fastest axis with a vector in integers:
 each operand is scaled once to ints over one common denominator (the lcm
 of its denominators), and the exact ``Fraction``s are built once at the
-end, integers (and ``random_map``'s draws) from one bounded cache.  A word
-is realized as one permutation: ``realizer`` folds it once, through
-``semantics.axis_semantics``, into an axis order and dual levels,
-and applies that to any base map of its arity by a single ``transpose``.
-``equal`` compares the aligned entries in one tuple comparison, which is
-mostly identity checks since realizations share their base's ``Fraction``
-objects and equal small integers are one cached object, and scans for the
-first mismatch only when it fails.  An identity between sums of composed
-maps is checked by ``_first_mismatch_block``, which sums every side in
-ints with the codomain axis last and reports the first differing block as
-a lexicographic witness.
+end, integers, and ``random_map``'s ``randint(-9, 9)`` draws, from one
+bounded cache.  A word is realized as one permutation: ``realizer`` folds
+it once, through ``semantics.axis_semantics``, into an axis order and dual
+levels, and applies that to any base map of its arity by a single
+``transpose``.  ``equal`` compares the aligned entries in one tuple
+comparison, which is mostly identity checks since realizations share their
+base's ``Fraction`` objects and equal small integers are one cached
+object, and scans for the first mismatch only when it fails.  An identity
+between sums of composed maps is checked by ``_first_mismatch_block``,
+which sums every side in ints with the codomain axis last and reports the
+first differing block as a lexicographic witness.
 
-All entries are ``fractions.Fraction`` and all checks are exact.  An
-absolute tolerance can be passed to ``equal`` for data imported from floats;
-nothing in this package produces inexact values itself.
+All entries are ``fractions.Fraction`` and all checks are exact; a float
+read from a map file is its exact binary value.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import random
 import re
 from array import array
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, islice, product
@@ -306,13 +305,13 @@ class IdentityReport:
         )
 
 
-def _shown(labels: tuple, limit: int = 8) -> str:
-    """Labels as text, with the labels past ``limit`` counted, not listed."""
-    more = len(labels) - limit
-    return str(labels) if more <= 0 else f"{str(labels[:limit])[:-1]}, ... {more} more)"
+def _shown(labels: tuple) -> str:
+    """Labels as text, with the labels past the eighth counted, not listed."""
+    more = len(labels) - 8
+    return str(labels) if more <= 0 else f"{str(labels[:8])[:-1]}, ... {more} more)"
 
 
-def equal(left: MultiMap, right: MultiMap, atol: Fraction | float | None = None) -> IdentityReport:
+def equal(left: MultiMap, right: MultiMap) -> IdentityReport:
     """Entrywise comparison after aligning the right map's axes by label."""
     if left.arity != right.arity:
         raise ShapeMismatch(f"arity {left.arity} vs {right.arity}")
@@ -331,14 +330,11 @@ def equal(left: MultiMap, right: MultiMap, atol: Fraction | float | None = None)
     aligned = _permute(right.entries, right.shape, axes)
     if left.entries == aligned:
         return IdentityReport(left.name, right.name, True)
-    tol = Fraction(0) if atol is None else Fraction(atol)
-    for pos, (a, b) in enumerate(zip(left.entries, aligned)):
-        if a != b and abs(a - b) > tol:
-            idx = next(islice(product(*(range(d) for d in left.shape)), pos, None))
-            return IdentityReport(
-                left.name, right.name, False, (idx, str(a), str(b))
-            )
-    return IdentityReport(left.name, right.name, True)
+    pos = next(compress(count(), map(ne, left.entries, aligned)))
+    idx = next(islice(product(*map(range, left.shape)), pos, None))
+    return IdentityReport(
+        left.name, right.name, False, (idx, str(left.entries[pos]), str(aligned[pos]))
+    )
 
 
 def _first_mismatch_block(inputs: str, lhs, rhs) -> tuple[int, ...] | None:
@@ -372,36 +368,24 @@ def _first_mismatch_block(inputs: str, lhs, rhs) -> tuple[int, ...] | None:
     return next(islice(product(*map(range, shape[:-1])), pos // shape[-1], None))
 
 
-@lru_cache(maxsize=128)
-def _top_bytes(bound: int) -> tuple[bytes, tuple[Fraction, ...]]:
-    """For 2 * bound + 1 < 256 values: the top bytes of 32-bit words that
-    ``randint(-bound, bound)`` rejects, and the value each other byte draws."""
-    span = 2 * bound + 1
-    shift = 8 - span.bit_length()
-    kept = range(span << shift)
-    return bytes(range(len(kept), 256)), tuple(_integer((v >> shift) - bound) for v in kept)
+# randint(-9, 9) draws the top five bits of a 32-bit word until they are below
+# 19: a top byte from 152 up is rejected, and a kept top byte b draws (b >> 3) - 9
+_REJECTED = bytes(range(152, 256))
+_DRAWN = tuple(_integer((b >> 3) - 9) for b in range(152))
 
 
-del _top_bytes.__wrapped__  # as for _plan
-
-
-def random_map(arity, input_dims, codomain_dim, seed, entry_bound=9, name="f") -> MultiMap:
+def random_map(arity, input_dims, codomain_dim, seed, name="f") -> MultiMap:
     """Deterministic random integer-entried map for a given seed; entries
-    are ``rng.randint(-entry_bound, entry_bound)`` draws in row-major order.
-    A draw from fewer than 256 values is the top bits of one 32-bit word,
-    kept if in range: read from one ``getrandbits`` call's top bytes."""
+    are ``rng.randint(-9, 9)`` draws in row-major order, read from the top
+    bytes of one ``getrandbits`` call."""
     rng, dims = random.Random(seed), tuple(input_dims)
     size = codomain_dim * prod(dims)
-    if 0 <= entry_bound < 128:
-        rejected, values = _top_bytes(entry_bound)
-        draws = b""
-        while len(draws) < size:
-            words = 2 * (size - len(draws))
-            top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
-            draws += top.translate(None, rejected)
-        entries = tuple(map(values.__getitem__, draws[:size]))
-    else:
-        entries = tuple(_integer(rng.randint(-entry_bound, entry_bound)) for _ in range(size))
+    draws = b""
+    while len(draws) < size:
+        words = 2 * (size - len(draws))
+        top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        draws += top.translate(None, _REJECTED)
+    entries = tuple(map(_DRAWN.__getitem__, draws[:size]))
     labels = default_labels(len(dims))
     return MultiMap(name, len(dims), dims, codomain_dim, labels, entries)
 
@@ -439,7 +423,7 @@ def compose_into_slot(outer: MultiMap, inner: MultiMap, slot: int, name=None) ->
     )
 
 
-def compose_codomain(post: MultiMap, m: MultiMap, name=None) -> MultiMap:
+def compose_codomain(post: MultiMap, m: MultiMap) -> MultiMap:
     """Apply a linear map to the output of ``m``; keeps ``m``'s labels."""
     if post.arity != 1:
         raise ShapeMismatch(f"{post.name}: codomain composition needs a linear map")
@@ -448,15 +432,11 @@ def compose_codomain(post: MultiMap, m: MultiMap, name=None) -> MultiMap:
             f"{post.name} expects dim {post.input_dims[0]}, "
             f"{m.name} lands in dim {m.codomain_dim}"
         )
-    name = name if name is not None else f"{post.name}.{m.name}"
-    composed = compose_into_slot(post, m, 1, name=name)
-    return MultiMap(
-        composed.name, m.arity, m.input_dims, post.codomain_dim, m.axis_labels,
-        composed.entries,
-    )
+    composed = compose_into_slot(post, m, 1)
+    return replace(composed, name=f"{post.name}.{m.name}", axis_labels=m.axis_labels)
 
 
-def slice_slot(m: MultiMap, slot: int, vec: Vector, name=None) -> MultiMap:
+def slice_slot(m: MultiMap, slot: int, vec: Vector) -> MultiMap:
     """Contract input ``slot`` (1-based) with a fixed vector."""
     if not 1 <= slot <= m.arity:
         raise ShapeMismatch(f"slot {slot} out of range for arity {m.arity}")
@@ -469,8 +449,8 @@ def slice_slot(m: MultiMap, slot: int, vec: Vector, name=None) -> MultiMap:
     dims = m.input_dims[: slot - 1] + m.input_dims[slot:]
     (ints, den), (xs, e) = _integers(_slot_last(m, slot)), _integers(vec.coords)
     return MultiMap(
-        name if name is not None else f"{m.name}|s{slot}",
-        m.arity - 1, dims, m.codomain_dim, m.axis_labels[:slot] + m.axis_labels[slot + 1:],
+        f"{m.name}|s{slot}", m.arity - 1, dims, m.codomain_dim,
+        m.axis_labels[:slot] + m.axis_labels[slot + 1:],
         tuple(_fractions(_contract_last(ints, xs), den * e)),
     )
 

@@ -17,6 +17,7 @@ from arenscalc.algebra import (
     InvalidCayleyTable,
     arens_products,
     cayley_fixture,
+    extensions,
     group_algebra,
     matrix_algebra,
     nested_bilinear_check,
@@ -26,7 +27,9 @@ from arenscalc.algebra import (
     slice_bridge_check,
     truncated_poly_algebra,
 )
+from arenscalc import algebra, semantics
 from arenscalc.expr import parse
+from arenscalc.semantics import EXTENSION_FLIPS, extension_expr
 from arenscalc.tensor import (
     MultiMap,
     Vector,
@@ -263,6 +266,25 @@ def test_arens_product_words_are_pinned():
 
 # ---------------------------------------------------------------------------
 # slice bridge
+
+
+def test_extensions_fold_each_word_once_per_arity(monkeypatch):
+    calls = []
+    real = semantics.axis_semantics
+
+    def counting(expr, base_arity=3):
+        calls.append(expr)
+        return real(expr, base_arity)
+
+    algebra._extension.cache_clear()
+    monkeypatch.setattr(semantics, "axis_semantics", counting)
+    extensions(random_map(3, (1, 2, 3), 2, seed=5), EXTENSION_FLIPS)
+    assert len(calls) == 6
+    g = random_map(3, (3, 1, 2), 4, seed=6, name="g")
+    exts = extensions(g, EXTENSION_FLIPS)
+    assert len(calls) == 6  # the second map of arity 3 folds nothing
+    for lead in EXTENSION_FLIPS:
+        assert exts[lead] == realize(extension_expr(lead, "g"), g)
 
 
 def test_slice_bridge_zero_map():

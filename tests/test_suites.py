@@ -4,7 +4,7 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from arenscalc import semantics, suites
+from arenscalc import algebra, semantics, suites
 from arenscalc.expr import ExprAst, parse
 from arenscalc.suites import (
     CHAIN_GROUPS,
@@ -73,20 +73,21 @@ def test_full_suite_section_order_is_stable():
 
 def _break_s_extension(monkeypatch):
     """Make f^{s****t} disagree with the other extensions, in entry 0,
-    on maps whose first input has dimension 3."""
+    on maps whose first input has dimension 3: both in the suites' own
+    folds and in ``algebra.extensions``' table."""
 
-    def perturbed(expr, arity):
-        fold = realizer(expr, arity)
-
+    def broken(fold):
         def apply(m):
             out = fold(m)
-            if expr.ops == tuple("s****t") and m.input_dims[0] == 3:
+            if out.name.endswith("^{s****t}") and m.input_dims[0] == 3:
                 out = dataclasses.replace(out, entries=(out.entries[0] + 1,) + out.entries[1:])
             return out
 
         return apply
 
-    monkeypatch.setattr(suites, "realizer", perturbed)
+    extension = algebra._extension
+    monkeypatch.setattr(suites, "realizer", lambda expr, arity: broken(realizer(expr, arity)))
+    monkeypatch.setattr(algebra, "_extension", lambda lead, arity: broken(extension(lead, arity)))
 
 
 def test_sweep_failure_detail_is_pinned(monkeypatch):
