@@ -5,9 +5,7 @@ their Euler derivation, matrix algebras, and two-sided module
 structures.  On top of these sit the bilinear checks: the two canonical
 extensions of a product, the regularity comparison between them, the
 slice construction that turns a tri-linear map into a bilinear one, and
-the nested-map constraint check.  ``extensions`` reads each canonical
-extension from one bounded table of prepared realizers, filled on first
-use, so each (leading flip, arity) word is folded once per process.
+the nested-map constraint check.
 
 The structure laws (associativity, the unit law, the product rule and
 the three module laws) are checked as tensor equations: each side is
@@ -25,10 +23,8 @@ them sharp regression tests for the axis bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice, permutations, product
 
-from .expr import ExprAst
 from .semantics import ARENS_FLIPS, extension_expr
 from .tensor import (
     DimensionMismatch,
@@ -42,8 +38,7 @@ from .tensor import (
     equal,
     evaluate,
     from_function,
-    realize,
-    realizer,
+    prepared,
     slice_slot,
     vector,
 )
@@ -302,18 +297,10 @@ def regular_module(model: AlgebraModel) -> BanachModuleModel:
 # bilinear extension checks
 
 
-@lru_cache(maxsize=64)
-def _extension(lead: str, arity: int):
-    """The canonical extension with leading flip ``lead``, folded once for ``arity``."""
-    return realizer(extension_expr(lead, "f", arity), arity)
-
-
-del _extension.__wrapped__  # as for tensor._plan
-
-
 def extensions(m: MultiMap, leads) -> dict[str, MultiMap]:
     """The canonical extensions of ``m`` at its own arity, keyed by leading flip."""
-    return {lead: _extension(lead, m.arity)(m) for lead in leads}
+    n = m.arity
+    return {lead: prepared(extension_expr(lead, "f", n).render(), n)(m) for lead in leads}
 
 
 def _arens_pair(m: MultiMap) -> tuple[MultiMap, MultiMap]:
@@ -367,10 +354,9 @@ def slice_bridge_check(f: MultiMap, wstar: Vector) -> BridgeReport:
         raise DimensionMismatch(
             f"functional dim {wstar.dim} vs codomain dim {f.codomain_dim}"
         )
-    cycled = realize(ExprAst(f.name, ("s", "*")), f)
-    m = slice_slot(cycled, 1, wstar)
-    lhs = slice_slot(realize(ExprAst(f.name, ("s",) + ("*",) * 6), f), 2, wstar)
-    rhs = realize(ExprAst(m.name, ("*",) * 4), m)
+    m = slice_slot(prepared("f^{s*}", 3)(f), 1, wstar)
+    lhs = slice_slot(prepared("f^{s******}", 3)(f), 2, wstar)
+    rhs = prepared("f^{****}", 2)(m)
     bridge = equal(lhs, rhs)
     reg = regularity_check(m)
     remark = equal(*extensions(f, ("s", "r")).values())
@@ -429,14 +415,8 @@ def nested_bilinear_check(
                     f"{tuple(map(str, got.coords))} vs {tuple(map(str, want.coords))}",
                     point=(x, y),
                 )
-    hyp1 = equal(
-        realize(ExprAst(f.name, ("t", "*", "*", "*", "r")), f),
-        realize(ExprAst(f.name, ("r", "*", "*", "*", "t")), f),
-    )
-    hyp2 = equal(
-        realize(ExprAst(f.name, ("*", "*", "*", "*", "t", "*", "*", "s")), f),
-        realize(ExprAst(f.name, ("t", "*", "*", "s", "*", "*", "*", "*")), f),
-    )
+    hyp1 = equal(prepared("f^{t***r}", 3)(f), prepared("f^{r***t}", 3)(f))
+    hyp2 = equal(prepared("f^{****t**s}", 3)(f), prepared("f^{t**s****}", 3)(f))
     reg = regularity_check(candidate)
     return (
         ("mixed-adjoint hypothesis", hyp1.equal, hyp1.render()),

@@ -42,12 +42,12 @@ from .tensor import (
     ShapeMismatch,
     Vector,
     _first_mismatch_block,
-    adjoint,
     basis_vector,
     compose_into_slot,
     default_labels,
     equal,
     from_function,
+    prepared,
     slice_slot,
     transpose,
 )
@@ -152,13 +152,12 @@ def right_action_composite(
 def _dual_family(cand: TriDerivationCandidate):
     """The dual-action composite of any functional, from one composition."""
     # under the dot pairing the value at (a, d, b) pairs with e_k to
-    # xstar . left_action(b, D(a, d, k)); adjoint moves k to the codomain
-    # and the carrier axis to slot 1, where xstar is contracted away
-    kl = adjoint(compose_into_slot(cand.module.left_action, cand.tri_map, 2))  # (k; l, b, a, d)
-    n = cand.module.algebra.dim
-    return lambda xstar, name: MultiMap(  # slicing xstar away leaves (k; b, a, d)
-        name, 3, (n, n, n), n, ("out*", "in1", "in2", "in3"),
-        transpose(slice_slot(kl, 1, xstar), (0, 2, 3, 1)).entries,
+    # xstar . left_action(b, D(a, d, k)); the adjoint (k; l, b, a, d) moves k
+    # to the codomain and the carrier axis l to slot 1, where xstar is
+    # contracted away to leave (k; b, a, d)
+    kl = prepared("f^{*}", 4)(compose_into_slot(cand.module.left_action, cand.tri_map, 2))
+    return lambda xstar, name: transpose(
+        slice_slot(kl, 1, xstar), (0, 2, 3, 1), name=name, labels=("out*", "in1", "in2", "in3"),
     )
 
 

@@ -36,7 +36,6 @@ from .derivation import (
     is_tri_derivation,
     tally_rows,
 )
-from .expr import parse
 from .semantics import (
     EXTENSION_FLIPS,
     UNCOND_EQUAL,
@@ -46,13 +45,12 @@ from .semantics import (
 )
 from .tensor import (
     MultiMap,
-    adjoint,
     compose_codomain,
     compose_into_slot,
     equal,
     from_function,
+    prepared,
     random_map,
-    realizer,
     vector,
 )
 
@@ -211,7 +209,7 @@ def run_chain_suite(seed: int, instances: int = 25, dims: Dims = None) -> SuiteS
         for group, pairs in CHAIN_GROUPS:
             for lhs_text, rhs_text in pairs:
                 label = f"[{group}] {lhs_text} = {rhs_text}"
-                lhs, rhs = realizer(parse(lhs_text), 3), realizer(parse(rhs_text), 3)
+                lhs, rhs = prepared(lhs_text, 3), prepared(rhs_text, 3)
                 for k in range(instances):
                     f = _rand_tri(rng, dims)
                     rep = equal(lhs(f), rhs(f))
@@ -232,10 +230,11 @@ def run_factorization_suite(
         "two-sided second identity",
         "two-sided construction consistency",
     )
-    # each word folded once; a fold names its result after the map it is applied to
+    # a prepared fold names its result after the map it is applied to,
+    # not after the base its word is written on
     words = ("f^{t*****}", "f^{t****s}", "f^{*****}", "f^{******}")
-    t5, t4s, a5, a6 = (realizer(parse(word), 3) for word in words)
-    h3 = realizer(parse("h^{***}"), 1)
+    t5, t4s, a5, a6 = (prepared(word, 3) for word in words)
+    h3 = prepared("h^{***}", 1)
 
     def results():
         for _ in range(instances):
@@ -379,7 +378,7 @@ def run_adjoint_pairing(
         arity = rng.choice((1, 2, 3))
         picked = _pick_dims(rng, arity + 1, dims)
         f = random_map(arity, picked[:arity], picked[arity], seed=rng.randrange(1 << 30))
-        fstar = adjoint(f)
+        fstar = prepared("f^{*}", arity)(f)  # the adjoint the package itself uses
         # <f*(e_l, e_i1, .., e_i(n-1)), e_in> = <e_l, f(e_i1, .., e_in)>,
         # read entry by entry so the check does not share the kernel
         if any(

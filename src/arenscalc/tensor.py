@@ -22,13 +22,20 @@ end, integers, and ``random_map``'s ``randint(-9, 9)`` draws, from one
 bounded cache.  A word is realized as one permutation: ``realizer`` folds
 it once, through ``semantics.axis_semantics``, into an axis order and dual
 levels, and applies that to any base map of its arity by a single
-``transpose``.  ``equal`` compares the aligned entries in one tuple
-comparison, which is mostly identity checks since realizations share their
-base's ``Fraction`` objects and equal small integers are one cached
-object, and scans for the first mismatch only when it fails.  An identity
-between sums of composed maps is checked by ``_first_mismatch_block``,
-which sums every side in ints with the codomain axis last and reports the
-first differing block as a lexicographic witness.
+``transpose``.  It has two entry points.  ``prepared(word, arity)`` is
+one bounded table of realizers for the words the package itself states
+(the extensions, the chain, bridge and nested-map words, the adjoint),
+so each is folded once per process; ``realize`` folds on every call and
+serves words from outside, which may be arbitrarily long and are never
+kept.  ``adjoint`` and ``flip`` apply one operation at a time; they are
+the oracle the tests compare the fold against.  ``equal`` compares the
+aligned entries in one tuple comparison, which is mostly identity checks
+since realizations share their base's ``Fraction`` objects and equal
+small integers are one cached object, and scans for the first mismatch
+only when it fails.  An identity between sums of composed maps is checked
+by ``_first_mismatch_block``, which sums every side in ints with the
+codomain axis last and reports the first differing block as a
+lexicographic witness.
 
 All entries are ``fractions.Fraction`` and all checks are exact; a float
 read from a map file is its exact binary value.
@@ -49,7 +56,7 @@ from math import lcm, prod
 from operator import add, ne
 
 from . import semantics
-from .expr import ExprAst, flip_perm
+from .expr import ExprAst, flip_perm, parse
 from .semantics import default_labels
 
 
@@ -263,7 +270,7 @@ def realizer(expr: ExprAst, arity: int) -> Callable[[MultiMap], MultiMap]:
     ``semantics.axis_semantics`` folds the word into an axis order and the
     dual level of every position; the returned function applies that fold
     to a base map by a single ``transpose``, naming the result after the
-    base map.  ``adjoint`` and ``flip`` are the step-by-step reference.
+    base map.
     """
     asg = semantics.axis_semantics(expr, arity)
     index = _AXIS_INDEX.get(arity)
@@ -283,8 +290,17 @@ def realizer(expr: ExprAst, arity: int) -> Callable[[MultiMap], MultiMap]:
     return apply
 
 
+@lru_cache(maxsize=64)
+def prepared(word: str, arity: int) -> Callable[[MultiMap], MultiMap]:
+    """The realizer of one of the package's own words, folded on first use."""
+    return realizer(parse(word), arity)
+
+
+del prepared.__wrapped__  # as for _plan
+
+
 def realize(expr: ExprAst, base: MultiMap) -> MultiMap:
-    """Apply an expression's operations to a concrete base map."""
+    """Apply an expression's operations to a concrete base map, folding anew."""
     return realizer(expr, base.arity)(base)
 
 
@@ -387,7 +403,7 @@ def random_map(arity, input_dims, codomain_dim, seed, name="f") -> MultiMap:
         draws += top.translate(None, _REJECTED)
     entries = tuple(map(_DRAWN.__getitem__, draws[:size]))
     labels = default_labels(len(dims))
-    return MultiMap(name, len(dims), dims, codomain_dim, labels, entries)
+    return MultiMap(name, arity, dims, codomain_dim, labels, entries)
 
 
 def compose_into_slot(outer: MultiMap, inner: MultiMap, slot: int, name=None) -> MultiMap:

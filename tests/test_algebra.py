@@ -27,7 +27,7 @@ from arenscalc.algebra import (
     slice_bridge_check,
     truncated_poly_algebra,
 )
-from arenscalc import algebra, semantics
+from arenscalc import semantics, tensor
 from arenscalc.expr import parse
 from arenscalc.semantics import EXTENSION_FLIPS, extension_expr
 from arenscalc.tensor import (
@@ -276,7 +276,7 @@ def test_extensions_fold_each_word_once_per_arity(monkeypatch):
         calls.append(expr)
         return real(expr, base_arity)
 
-    algebra._extension.cache_clear()
+    tensor.prepared.cache_clear()
     monkeypatch.setattr(semantics, "axis_semantics", counting)
     extensions(random_map(3, (1, 2, 3), 2, seed=5), EXTENSION_FLIPS)
     assert len(calls) == 6

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 from hypothesis import given, settings, strategies as st
 
-from arenscalc import algebra, semantics, suites
+from arenscalc import algebra, semantics, suites, tensor
 from arenscalc.expr import ExprAst, parse
 from arenscalc.suites import (
     CHAIN_GROUPS,
@@ -17,7 +18,7 @@ from arenscalc.suites import (
     run_extension_sweep,
     run_group_fixture_suite,
 )
-from arenscalc.tensor import random_map, realize, realizer
+from arenscalc.tensor import prepared, random_map, realize
 
 
 def test_catalog_is_well_formed():
@@ -73,8 +74,8 @@ def test_full_suite_section_order_is_stable():
 
 def _break_s_extension(monkeypatch):
     """Make f^{s****t} disagree with the other extensions, in entry 0,
-    on maps whose first input has dimension 3: both in the suites' own
-    folds and in ``algebra.extensions``' table."""
+    on maps whose first input has dimension 3: in every binding of the
+    prepared table that folds it, the suites' own and ``algebra``'s."""
 
     def broken(fold):
         def apply(m):
@@ -85,9 +86,8 @@ def _break_s_extension(monkeypatch):
 
         return apply
 
-    extension = algebra._extension
-    monkeypatch.setattr(suites, "realizer", lambda expr, arity: broken(realizer(expr, arity)))
-    monkeypatch.setattr(algebra, "_extension", lambda lead, arity: broken(extension(lead, arity)))
+    for module in (suites, algebra):
+        monkeypatch.setattr(module, "prepared", lambda word, arity: broken(prepared(word, arity)))
 
 
 def test_sweep_failure_detail_is_pinned(monkeypatch):
@@ -129,9 +129,40 @@ def test_chain_suite_folds_each_word_once(monkeypatch):
         calls.append(expr)
         return real(expr, base_arity)
 
+    prepared.cache_clear()
     monkeypatch.setattr(semantics, "axis_semantics", counting)
     assert run_chain_suite(1, instances=4).passed
-    assert len(calls) == 34  # the two sides of 17 pairs, not once per instance
+    words = {word for _, pairs in CHAIN_GROUPS for pair in pairs for word in pair}
+    assert len(calls) == len(words)  # once per distinct word, not per side or instance
+
+
+def test_second_full_suite_folds_only_in_classify(monkeypatch):
+    full_suite()
+    callers = []
+    real = semantics.axis_semantics
+
+    def counting(expr, base_arity=3):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(expr, base_arity)
+
+    monkeypatch.setattr(semantics, "axis_semantics", counting)
+    assert all(section.passed for section in full_suite())
+    assert callers == ["classify"] * 34  # every word of the package is prepared already
+
+
+def test_full_suite_runs_without_the_step_by_step_oracle(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the adjoint/flip oracle was called outside the tests")
+
+    oracle = (tensor.adjoint, tensor.flip)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "arenscalc":
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in oracle):
+                    monkeypatch.setattr(module, attr, refuse)
+    assert tensor.adjoint is refuse and tensor.flip is refuse
+    sections = full_suite(seed=0, trials=2, instances=1, dims=(2, 2, 2, 2))
+    assert all(section.passed for section in sections)
 
 
 def test_group_failure_detail_is_pinned(monkeypatch):

@@ -636,6 +636,21 @@ def test_equal_shape_mismatch_messages():
     assert str(exc.value) == "dims 1 vs 2 on axis in11 after label alignment"
 
 
+def test_random_map_checks_its_arity_against_the_dims():
+    with pytest.raises(ShapeMismatch, match="arity 2"):
+        random_map(2, (2, 2, 2), 2, seed=0)
+
+
+def test_prepared_adjoint_matches_the_oracle_at_every_arity():
+    for arity in (1, 2, 3, 4):
+        f = random_map(arity, (2, 3, 1, 2)[:arity], 3, seed=arity)
+        fold = tensor_module.prepared("f^{*}", arity)
+        assert tensor_module.prepared("f^{*}", arity) is fold  # one entry per key
+        want = adjoint(f)
+        got = fold(f)
+        assert (got.axis_labels, got.shape, got.entries) == (want.axis_labels, want.shape, want.entries)
+
+
 def test_random_map_matches_entrywise_build():
     rng = random.Random(67)
     for _ in range(200):
