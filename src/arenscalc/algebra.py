@@ -22,7 +22,9 @@ them sharp regression tests for the axis bookkeeping.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice, permutations, product
 
 from .semantics import ARENS_FLIPS, extension_expr
@@ -30,7 +32,6 @@ from .tensor import (
     DimensionMismatch,
     IdentityReport,
     MultiMap,
-    Vector,
     _first_mismatch_block,
     basis_vector,
     compose_codomain,
@@ -135,7 +136,7 @@ def cayley_fixture(name: str) -> CayleyTable:
 class AlgebraModel:
     dim: int
     multiplication: MultiMap
-    unit: Vector | None
+    unit: Sequence[Fraction] | None
     basis_names: tuple[str, ...]
 
     def validate(self) -> None:
@@ -156,7 +157,7 @@ class AlgebraModel:
                 )
             )
         if self.unit is not None:
-            if self.unit.dim != self.dim:
+            if len(self.unit) != self.dim:
                 raise InvalidAlgebra("unit has wrong dimension")
             # u.e_k = e_k and e_k.u = e_k: both slices of pi at u are the identity
             ident = [(from_function("id", (self.dim,), self.dim, lambda l, k: l == k), "k")]
@@ -340,7 +341,7 @@ class BridgeReport:
         return all(ok for _, ok, _ in self.rows)
 
 
-def slice_bridge_check(f: MultiMap, wstar: Vector) -> BridgeReport:
+def slice_bridge_check(f: MultiMap, wstar: Sequence[Fraction]) -> BridgeReport:
     """Slice a tri-linear map down to a bilinear one and check the bridge.
 
     The sliced map fixes a codomain functional in the once-adjointed
@@ -350,9 +351,9 @@ def slice_bridge_check(f: MultiMap, wstar: Vector) -> BridgeReport:
     """
     if f.arity != 3:
         raise DimensionMismatch(f"{f.name}: need a tri-linear map")
-    if wstar.dim != f.codomain_dim:
+    if len(wstar) != f.codomain_dim:
         raise DimensionMismatch(
-            f"functional dim {wstar.dim} vs codomain dim {f.codomain_dim}"
+            f"functional dim {len(wstar)} vs codomain dim {f.codomain_dim}"
         )
     m = slice_slot(prepared("f^{s*}", 3)(f), 1, wstar)
     lhs = slice_slot(prepared("f^{s******}", 3)(f), 2, wstar)
@@ -372,7 +373,7 @@ GRID_COORDS = (-1, 0, 1, 2)
 GRID_LIMIT = 256
 
 
-def sample_grid(dim: int) -> tuple[Vector, ...]:
+def sample_grid(dim: int) -> tuple[tuple[Fraction, ...], ...]:
     """Deterministic sample vectors with small integer coordinates.
 
     Nonlinear constraints need more than basis vectors; degree-two
@@ -410,9 +411,9 @@ def nested_bilinear_check(
             got = evaluate(candidate, [x, y])
             if got != want:
                 raise ConstraintViolated(
-                    f"candidate disagrees at x={tuple(map(str, x.coords))}, "
-                    f"y={tuple(map(str, y.coords))}: "
-                    f"{tuple(map(str, got.coords))} vs {tuple(map(str, want.coords))}",
+                    f"candidate disagrees at x={tuple(map(str, x))}, "
+                    f"y={tuple(map(str, y))}: "
+                    f"{tuple(map(str, got))} vs {tuple(map(str, want))}",
                     point=(x, y),
                 )
     hyp1 = equal(prepared("f^{t***r}", 3)(f), prepared("f^{r***t}", 3)(f))

@@ -22,7 +22,9 @@ adjoints and re-running the slot checks.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import (
     AlgebraModel,
@@ -40,7 +42,6 @@ from .semantics import ARENS_FLIPS
 from .tensor import (
     MultiMap,
     ShapeMismatch,
-    Vector,
     _first_mismatch_block,
     basis_vector,
     compose_into_slot,
@@ -72,35 +73,25 @@ class TriDerivationCandidate:
 
 
 @dataclass(frozen=True)
-class SlotCheck:
-    ok: bool
-    witness: tuple[int, int, int, int] | None = None
-
-
-@dataclass(frozen=True)
 class DerivationReport:
-    """One slot check per identity; witnesses are basis index quadruples."""
+    """The first failing basis quadruple of each slot identity, or None."""
 
-    first_slot: SlotCheck
-    middle_slot: SlotCheck
-    last_slot: SlotCheck
+    first_slot: tuple[int, int, int, int] | None
+    middle_slot: tuple[int, int, int, int] | None
+    last_slot: tuple[int, int, int, int] | None
 
     @property
     def holds(self) -> bool:
-        return self.first_slot.ok and self.middle_slot.ok and self.last_slot.ok
+        return self.first_slot is None and self.middle_slot is None and self.last_slot is None
 
     def render(self) -> str:
-        parts = []
-        for label, check in (
-            ("first", self.first_slot),
-            ("middle", self.middle_slot),
-            ("last", self.last_slot),
-        ):
-            if check.ok:
-                parts.append(f"{label} slot: ok")
-            else:
-                parts.append(f"{label} slot: fails at basis quadruple {check.witness}")
-        return "; ".join(parts)
+        return "; ".join(
+            f"{label} slot: ok" if witness is None
+            else f"{label} slot: fails at basis quadruple {witness}"
+            for label, witness in zip(
+                ("first", "middle", "last"), (self.first_slot, self.middle_slot, self.last_slot)
+            )
+        )
 
 
 def is_tri_derivation(cand: TriDerivationCandidate) -> DerivationReport:
@@ -118,60 +109,63 @@ def is_tri_derivation(cand: TriDerivationCandidate) -> DerivationReport:
     pi = cand.module.algebra.multiplication
     right_term = (compose_into_slot(cand.module.right_action, D, 1), "abcd")
     left_outer = compose_into_slot(cand.module.left_action, D, 2)
-    checks = []
+    witnesses = []
     for k, x in enumerate("abc"):
         before, after = "abc"[:k], "abc"[k + 1:]
-        witness = _first_mismatch_block(
+        witnesses.append(_first_mismatch_block(
             "abcd",
             [(compose_into_slot(D, pi, k + 1), before + x + "d" + after)],
             [right_term, (left_outer, x + before + "d" + after)],
-        )
-        checks.append(SlotCheck(witness is None, witness))
-    return DerivationReport(*checks)
+        ))
+    return DerivationReport(*witnesses)
 
 
 # ---------------------------------------------------------------------------
 # composite maps
 
 
+def _family(cand: TriDerivationCandidate, side: str):
+    """The ``side`` ("right" or "dual") composite at any anchor, from one
+    composition: slot 1 of it is fixed at the anchor, the rest reordered."""
+    D, mod = cand.tri_map, cand.module
+    if side == "right":
+        # right_action(D(a, b, c), d) reads (l; a, b, c, d); fixing a and
+        # swapping b and c leaves (l; c, b, d)
+        composed = compose_into_slot(mod.right_action, D, 1)
+        axes, labels = (0, 2, 1, 3), default_labels(3)
+    else:
+        # under the dot pairing the value at (a, d, b) pairs with e_k to
+        # xstar . left_action(b, D(a, d, k)); the adjoint (k; l, b, a, d) moves k
+        # to the codomain and the carrier axis l to slot 1, where xstar is
+        # contracted away to leave (k; b, a, d)
+        composed = prepared("f^{*}", 4)(compose_into_slot(mod.left_action, D, 2))
+        axes, labels = (0, 2, 3, 1), ("out*", "in1", "in2", "in3")
+    return lambda anchor, name: transpose(
+        slice_slot(composed, 1, anchor), axes, name=name, labels=labels
+    )
+
+
 def right_action_composite(
-    cand: TriDerivationCandidate, a: Vector, name: str | None = None
+    cand: TriDerivationCandidate, a: Sequence[Fraction], name: str | None = None
 ) -> MultiMap:
     """The map (c, b, d) -> right_action(D(a, b, c), d) for a fixed a."""
     n = cand.module.algebra.dim
-    if a.dim != n:
-        raise ShapeMismatch(f"fixed element dim {a.dim} vs algebra dim {n}")
-    # D(a, ., .) with its two inputs swapped, fed into the right action
-    dcb = transpose(slice_slot(cand.tri_map, 1, a), (0, 2, 1))
-    return compose_into_slot(
-        cand.module.right_action, dcb, 1,
-        name=name if name is not None else f"{cand.name}.rc",
-    )
-
-
-def _dual_family(cand: TriDerivationCandidate):
-    """The dual-action composite of any functional, from one composition."""
-    # under the dot pairing the value at (a, d, b) pairs with e_k to
-    # xstar . left_action(b, D(a, d, k)); the adjoint (k; l, b, a, d) moves k
-    # to the codomain and the carrier axis l to slot 1, where xstar is
-    # contracted away to leave (k; b, a, d)
-    kl = prepared("f^{*}", 4)(compose_into_slot(cand.module.left_action, cand.tri_map, 2))
-    return lambda xstar, name: transpose(
-        slice_slot(kl, 1, xstar), (0, 2, 3, 1), name=name, labels=("out*", "in1", "in2", "in3"),
-    )
+    if len(a) != n:
+        raise ShapeMismatch(f"fixed element dim {len(a)} vs algebra dim {n}")
+    return _family(cand, "right")(a, name if name is not None else f"{cand.name}.rc")
 
 
 def dual_action_composite(
-    cand: TriDerivationCandidate, xstar: Vector, name: str | None = None
+    cand: TriDerivationCandidate, xstar: Sequence[Fraction], name: str | None = None
 ) -> MultiMap:
     """The map (a, d, b) -> D*(left_action*(xstar, b), a, d).
 
     Lands in the algebra dual; the codomain axis is labelled with a star
     to keep the dual level visible to later realizations.
     """
-    if xstar.dim != cand.module.carrier_dim:
-        raise ShapeMismatch(f"functional dim {xstar.dim} vs carrier dim {cand.module.carrier_dim}")
-    return _dual_family(cand)(xstar, name if name is not None else f"{cand.name}.dc")
+    if len(xstar) != cand.module.carrier_dim:
+        raise ShapeMismatch(f"functional dim {len(xstar)} vs carrier dim {cand.module.carrier_dim}")
+    return _family(cand, "dual")(xstar, name if name is not None else f"{cand.name}.dc")
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +195,9 @@ def _families(cand: TriDerivationCandidate):
     """The right-action and dual-action composite families of a candidate,
     each as (builder for one basis index, basis size)."""
     n, d = cand.module.algebra.dim, cand.module.carrier_dim
-    dual = _dual_family(cand)
+    right, dual = _family(cand, "right"), _family(cand, "dual")
     return (
-        (lambda k: right_action_composite(cand, basis_vector(n, k), name=f"rc{k}"), n),
+        (lambda k: right(basis_vector(n, k), f"rc{k}"), n),
         (lambda k: dual(basis_vector(d, k), f"dc{k}"), d),
     )
 

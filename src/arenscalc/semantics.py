@@ -152,20 +152,21 @@ def natural_extensions(base: str = "f") -> list[tuple[ExprAst, LimitOrder]]:
     return out
 
 
-def _normalized_ops(expr: ExprAst) -> tuple:
-    """Ops with adjacent flips composed and identity flips dropped."""
+def _normalized_ops(expr: ExprAst, arity: int) -> tuple:
+    """Ops with adjacent flips composed at ``arity`` and identity flips dropped."""
+    identity = tuple(range(arity))
     out: list = []
     pending: Perm | None = None
     for op in expr.ops:
         if op == ADJOINT:
-            if pending is not None and pending != IDENTITY_PERM:
+            if pending is not None and pending != identity:
                 out.append(pending)
             pending = None
             out.append(ADJOINT)
         else:
-            perm = flip_perm(op, 3)
+            perm = flip_perm(op, arity)
             pending = perm if pending is None else compose_flips(pending, perm)
-    if pending is not None and pending != IDENTITY_PERM:
+    if pending is not None and pending != identity:
         out.append(pending)
     return tuple(out)
 
@@ -232,7 +233,7 @@ def classify(left: ExprAst, right: ExprAst, base_arity: int = 3) -> Verdict:
                 "right_signature": sig_right.collapsed().render(),
             },
         )
-    if _normalized_ops(left) == _normalized_ops(right):
+    if _normalized_ops(left, base_arity) == _normalized_ops(right, base_arity):
         return Verdict(UNCOND_EQUAL, witness={"reason": "identical normal forms"})
     levels_left = asg_left.level_map()
     levels_right = asg_right.level_map()
@@ -324,19 +325,12 @@ CONJUGATION_ITEMS = (
 @dataclass(frozen=True)
 class ConjugationRow:
     flip: str
-    pulled_back: tuple[str, str]
     stated_pair: tuple[str, str]
     condition: str
     ok: bool
 
 
-@dataclass(frozen=True)
-class ConjugationReport:
-    rows: tuple[ConjugationRow, ...]
-    all_ok: bool
-
-
-def flip_conjugation_checks(base: str = "f") -> ConjugationReport:
+def flip_conjugation_checks(base: str = "f") -> tuple[ConjugationRow, ...]:
     """Check that the defining pair for close-to-regularity of each flipped
     base map pulls back to the expected pair of extensions, and that the
     classifier names the condition accordingly."""
@@ -364,10 +358,9 @@ def flip_conjugation_checks(base: str = "f") -> ConjugationReport:
         rows.append(
             ConjugationRow(
                 flip=letter,
-                pulled_back=(pulled[0].render(), pulled[1].render()),
                 stated_pair=(stated[0].render(), stated[1].render()),
                 condition=verdict.condition or verdict.kind,
                 ok=ok,
             )
         )
-    return ConjugationReport(tuple(rows), all(r.ok for r in rows))
+    return tuple(rows)

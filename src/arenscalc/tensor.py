@@ -47,7 +47,7 @@ import json
 import random
 import re
 from array import array
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -68,35 +68,23 @@ class ShapeMismatch(Exception):
     """Two maps that cannot be compared (arity, labels, or dims differ)."""
 
 
-@dataclass(frozen=True)
-class Vector:
-    coords: tuple[Fraction, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
+def vector(values) -> tuple[Fraction, ...]:
+    return tuple(Fraction(v) for v in values)
 
 
-def vector(values) -> Vector:
-    return Vector(tuple(Fraction(v) for v in values))
+def zero_vector(dim: int) -> tuple[Fraction, ...]:
+    return (Fraction(0),) * dim
 
 
-def zero_vector(dim: int) -> Vector:
-    return Vector((Fraction(0),) * dim)
+def basis_vector(dim: int, k: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(1 if i == k else 0) for i in range(dim))
 
 
-def basis_vector(dim: int, k: int) -> Vector:
-    return Vector(tuple(Fraction(1 if i == k else 0) for i in range(dim)))
-
-
-def pair(functional: Vector, arg: Vector) -> Fraction:
+def pair(functional: Sequence[Fraction], arg: Sequence[Fraction]) -> Fraction:
     """Dot-product pairing of a functional against a vector."""
-    if functional.dim != arg.dim:
+    if len(functional) != len(arg):
         raise DimensionMismatch(
-            f"pairing dims differ: {functional.dim} vs {arg.dim}"
+            f"pairing dims differ: {len(functional)} vs {len(arg)}"
         )
     return sum((a * b for a, b in zip(functional, arg)), Fraction(0))
 
@@ -243,22 +231,22 @@ def flip(m: MultiMap, letter: str) -> MultiMap:
     return transpose(m, (0,) + tuple(1 + k for k in perm), name=m.name + letter)
 
 
-def evaluate(m: MultiMap, args) -> Vector:
+def evaluate(m: MultiMap, args) -> tuple[Fraction, ...]:
     """Apply the map to one vector per input slot: contract the last slot
     first and work back to slot 1."""
     args = list(args)
     if len(args) != m.arity:
         raise DimensionMismatch(f"{m.name}: expected {m.arity} arguments")
     for d, v in zip(m.input_dims, args):
-        if v.dim != d:
+        if len(v) != d:
             raise DimensionMismatch(
-                f"{m.name}: argument dims {[a.dim for a in args]} vs {m.input_dims}"
+                f"{m.name}: argument dims {list(map(len, args))} vs {m.input_dims}"
             )
     vals, den = _integers(m.entries)
     for v in reversed(args):
-        xs, e = _integers(v.coords)
+        xs, e = _integers(v)
         vals, den = _contract_last(vals, xs), den * e
-    return Vector(tuple(_fractions(vals, den)))
+    return tuple(_fractions(vals, den))
 
 
 _AXIS_INDEX: dict[int, dict[str, int]] = {}  # base axis name -> position, per arity
@@ -452,18 +440,18 @@ def compose_codomain(post: MultiMap, m: MultiMap) -> MultiMap:
     return replace(composed, name=f"{post.name}.{m.name}", axis_labels=m.axis_labels)
 
 
-def slice_slot(m: MultiMap, slot: int, vec: Vector) -> MultiMap:
+def slice_slot(m: MultiMap, slot: int, vec: Sequence[Fraction]) -> MultiMap:
     """Contract input ``slot`` (1-based) with a fixed vector."""
     if not 1 <= slot <= m.arity:
         raise ShapeMismatch(f"slot {slot} out of range for arity {m.arity}")
     if m.arity == 1:
         raise ShapeMismatch("cannot slice the only input away")
-    if vec.dim != m.input_dims[slot - 1]:
+    if len(vec) != m.input_dims[slot - 1]:
         raise DimensionMismatch(
-            f"slot {slot} of {m.name} has dim {m.input_dims[slot - 1]}, vector {vec.dim}"
+            f"slot {slot} of {m.name} has dim {m.input_dims[slot - 1]}, vector {len(vec)}"
         )
     dims = m.input_dims[: slot - 1] + m.input_dims[slot:]
-    (ints, den), (xs, e) = _integers(_slot_last(m, slot)), _integers(vec.coords)
+    (ints, den), (xs, e) = _integers(_slot_last(m, slot)), _integers(vec)
     return MultiMap(
         f"{m.name}|s{slot}", m.arity - 1, dims, m.codomain_dim,
         m.axis_labels[:slot] + m.axis_labels[slot + 1:],

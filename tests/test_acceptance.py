@@ -114,7 +114,7 @@ def test_criterion_8_derivation_suite():
 
     rejected = is_tri_derivation(derivation_fixture("matrix2-inner"))
     assert not rejected.holds
-    assert rejected.first_slot.witness == (0, 0, 0, 3)
+    assert rejected.first_slot == (0, 0, 0, 3)
 
 
 def test_criterion_9_adjoint_pairing_200_instances():
