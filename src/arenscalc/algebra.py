@@ -331,23 +331,15 @@ def regularity_check(m: MultiMap) -> IdentityReport:
     return equal(*_arens_pair(m))
 
 
-@dataclass(frozen=True)
-class BridgeReport:
-    sliced: MultiMap
-    rows: tuple[tuple[str, bool, str], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.rows)
-
-
-def slice_bridge_check(f: MultiMap, wstar: Sequence[Fraction]) -> BridgeReport:
+def slice_bridge_check(
+    f: MultiMap, wstar: Sequence[Fraction]
+) -> tuple[MultiMap, tuple[tuple[str, bool, str], ...]]:
     """Slice a tri-linear map down to a bilinear one and check the bridge.
 
     The sliced map fixes a codomain functional in the once-adjointed
     cycled map.  Its double extension must match the corresponding slice
     of the six-fold adjoint, and the sliced map must pass the two-sided
-    extension comparison.
+    extension comparison.  Returns the sliced map and the report rows.
     """
     if f.arity != 3:
         raise DimensionMismatch(f"{f.name}: need a tri-linear map")
@@ -361,12 +353,11 @@ def slice_bridge_check(f: MultiMap, wstar: Sequence[Fraction]) -> BridgeReport:
     bridge = equal(lhs, rhs)
     reg = regularity_check(m)
     remark = equal(*extensions(f, ("s", "r")).values())
-    rows = (
+    return m, (
         ("slice bridge identity", bridge.equal, bridge.render()),
         ("sliced map extension comparison", reg.equal, reg.render()),
         ("cycled-vs-reversed extension remark", remark.equal, remark.render()),
     )
-    return BridgeReport(m, rows)
 
 
 GRID_COORDS = (-1, 0, 1, 2)

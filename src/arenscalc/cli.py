@@ -142,7 +142,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    return PASS if all(section.passed for section in sections) else IDENTITY_FAILED
+    return PASS if all(ok for _, rows in sections for _, ok, _ in rows) else IDENTITY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

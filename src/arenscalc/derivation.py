@@ -191,30 +191,23 @@ def tally_rows(results, ok_detail: str, labels=()) -> list[Row]:
     ]
 
 
-def _families(cand: TriDerivationCandidate):
-    """The right-action and dual-action composite families of a candidate,
-    each as (builder for one basis index, basis size)."""
-    n, d = cand.module.algebra.dim, cand.module.carrier_dim
-    right, dual = _family(cand, "right"), _family(cand, "dual")
-    return (
-        (lambda k: right(basis_vector(n, k), f"rc{k}"), n),
-        (lambda k: dual(basis_vector(d, k), f"dc{k}"), d),
-    )
+def _family_rows(
+    cand: TriDerivationCandidate, side: str, pairs: list[tuple[str, str, str]]
+) -> list[Row]:
+    """Check extension equalities of the ``side`` composite family over a basis.
 
-
-def _family_rows(family, pairs: list[tuple[str, str, str]]) -> list[Row]:
-    """Check extension equalities of a composite family over a basis.
-
-    ``family`` is one of ``_families``; ``pairs`` lists (row label, lead
-    letter, lead letter) equalities to verify for every composite of it.
-    One report row per pair, aggregated across the basis.
+    ``pairs`` lists (row label, lead letter, lead letter) equalities to
+    verify for the composite at every basis anchor: algebra elements for
+    "right", carrier functionals for "dual".  One report row per pair,
+    aggregated across the basis.
     """
-    build, count = family
+    build = _family(cand, side)
+    count = cand.module.algebra.dim if side == "right" else cand.module.carrier_dim
     leads = {lead for _, la, lb in pairs for lead in (la, lb)}
 
     def results():
         for k in range(count):
-            exts = extensions(build(k), leads)
+            exts = extensions(build(basis_vector(count, k), f"{side[0]}c{k}"), leads)
             for label, la, lb in pairs:
                 rep = equal(exts[la], exts[lb])
                 yield label, rep.equal, f"basis {k}: {rep.render()}"
@@ -252,9 +245,9 @@ def composite_extension_checks(cand: TriDerivationCandidate) -> list[Row]:
         ("item 3: plain equals i-conjugated (repeat)", "", "i"),
         ("item 4: plain equals r-conjugated", "", "r"),
     ]
-    for family, side in zip(_families(cand), ("right", "dual")):
+    for side in ("right", "dual"):
         rows += _family_rows(
-            family, [(f"{side} composites, {lbl}", la, lb) for lbl, la, lb in item_pairs]
+            cand, side, [(f"{side} composites, {lbl}", la, lb) for lbl, la, lb in item_pairs]
         )
     return rows
 
@@ -300,16 +293,17 @@ def fourth_adjoint_check(cand: TriDerivationCandidate) -> list[Row]:
             )
         )
 
-    right, dual = _families(cand)
     rows += _family_rows(
-        right,
+        cand,
+        "right",
         [
             ("right composites: r-conjugated equals i-conjugated", "r", "i"),
             ("right composites: i-conjugated equals s-conjugated", "i", "s"),
         ],
     )
     rows += _family_rows(
-        dual,
+        cand,
+        "dual",
         [
             ("dual composites: j-conjugated equals t-conjugated", "j", "t"),
             ("dual composites: t-conjugated equals plain", "t", ""),

@@ -322,18 +322,11 @@ CONJUGATION_ITEMS = (
 )
 
 
-@dataclass(frozen=True)
-class ConjugationRow:
-    flip: str
-    stated_pair: tuple[str, str]
-    condition: str
-    ok: bool
-
-
-def flip_conjugation_checks(base: str = "f") -> tuple[ConjugationRow, ...]:
+def flip_conjugation_checks(base: str = "f") -> tuple[tuple[str, bool, str], ...]:
     """Check that the defining pair for close-to-regularity of each flipped
     base map pulls back to the expected pair of extensions, and that the
-    classifier names the condition accordingly."""
+    classifier names the condition accordingly.  One report row per flip,
+    ``("flip {letter}: {a} vs {b}", ok, condition)``."""
     rows = []
     for letter, (lead_a, lead_b) in CONJUGATION_ITEMS:
         pulled = (
@@ -355,12 +348,9 @@ def flip_conjugation_checks(base: str = "f") -> tuple[ConjugationRow, ...]:
                 for e in pulled
             )
         )
-        rows.append(
-            ConjugationRow(
-                flip=letter,
-                stated_pair=(stated[0].render(), stated[1].render()),
-                condition=verdict.condition or verdict.kind,
-                ok=ok,
-            )
-        )
+        rows.append((
+            f"flip {letter}: {stated[0].render()} vs {stated[1].render()}",
+            ok,
+            verdict.condition or verdict.kind,
+        ))
     return tuple(rows)

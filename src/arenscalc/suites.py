@@ -1,8 +1,9 @@
 """Batch verification suites over random instances and fixed fixtures.
 
-Each runner returns a titled section of uniform rows so the command-line
-report can render them as one document.  All randomness flows from a
-single seed; a fixed seed gives a byte-identical report.
+Each runner returns a ``(title, rows)`` section of ``(name, passed,
+detail)`` rows so the command-line report can render them as one
+document.  All randomness flows from a single seed; a fixed seed gives
+a byte-identical report.
 
 The chain catalog collects the displayed two-sided tensor equalities
 from the equivalence arguments this package models: the criteria for
@@ -17,7 +18,6 @@ mismatch in millions of entries marks a bookkeeping bug.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 
 from .algebra import (
@@ -30,6 +30,7 @@ from .algebra import (
     slice_bridge_check,
 )
 from .derivation import (
+    Row,
     composite_extension_checks,
     derivation_fixture,
     fourth_adjoint_check,
@@ -53,23 +54,6 @@ from .tensor import (
     random_map,
     vector,
 )
-
-
-@dataclass(frozen=True)
-class SuiteRow:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class SuiteSection:
-    title: str
-    rows: tuple[SuiteRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
 
 
 GOLDEN_ORDERS = {
@@ -129,6 +113,7 @@ CHAIN_GROUPS = (
 _DIM_CHOICES = (1, 2, 3)
 
 Dims = tuple[int, ...] | None
+Section = tuple[str, tuple[Row, ...]]  # (title, rows)
 
 
 def _pick_dims(rng: random.Random, count: int, fixed: Dims) -> tuple[int, ...]:
@@ -153,39 +138,27 @@ def _six_disagree(f: MultiMap) -> str:
     return ""
 
 
-def run_limit_order_goldens() -> SuiteSection:
+def run_limit_order_goldens() -> Section:
     rows = []
     for expr, order in natural_extensions("f"):
         want = GOLDEN_ORDERS[expr.render()]
-        rows.append(
-            SuiteRow(
-                f"{expr.render()} -> ({', '.join(want)})",
-                order == want,
-                "" if order == want else f"got ({', '.join(order)})",
-            )
-        )
-    return SuiteSection("Limit orders of the six extensions", tuple(rows))
+        rows.append((
+            f"{expr.render()} -> ({', '.join(want)})",
+            order == want,
+            "" if order == want else f"got ({', '.join(order)})",
+        ))
+    return "Limit orders of the six extensions", tuple(rows)
 
 
-def run_symbolic_suite() -> SuiteSection:
-    rows = []
-    for row in flip_conjugation_checks("f"):
-        rows.append(
-            SuiteRow(
-                f"flip {row.flip}: {row.stated_pair[0]} vs {row.stated_pair[1]}",
-                row.ok,
-                row.condition,
-            )
-        )
+def run_symbolic_suite() -> Section:
+    rows = list(flip_conjugation_checks("f"))
     for a, b in dict(CHAIN_GROUPS)["conjugation pullbacks"]:
         verdict = classify_text(a, b)
-        rows.append(
-            SuiteRow(f"{a} = {b}", verdict.kind == UNCOND_EQUAL, verdict.render())
-        )
-    return SuiteSection("Symbolic classifier", tuple(rows))
+        rows.append((f"{a} = {b}", verdict.kind == UNCOND_EQUAL, verdict.render()))
+    return "Symbolic classifier", tuple(rows)
 
 
-def run_extension_sweep(seed: int, trials: int = 100, dims: Dims = None) -> SuiteSection:
+def run_extension_sweep(seed: int, trials: int = 100, dims: Dims = None) -> Section:
     rng = random.Random(seed)
     failures = []
     for k in range(trials):
@@ -195,13 +168,12 @@ def run_extension_sweep(seed: int, trials: int = 100, dims: Dims = None) -> Suit
     detail = f"{trials - len(failures)}/{trials} trials"
     if failures:
         detail += "; first failure: " + failures[0]
-    return SuiteSection(
-        "Six-extension sweep on random tensors",
-        (SuiteRow("all six realized extensions coincide", not failures, detail),),
+    return "Six-extension sweep on random tensors", (
+        ("all six realized extensions coincide", not failures, detail),
     )
 
 
-def run_chain_suite(seed: int, instances: int = 25, dims: Dims = None) -> SuiteSection:
+def run_chain_suite(seed: int, instances: int = 25, dims: Dims = None) -> Section:
     rng = random.Random(seed)
 
     def results():
@@ -215,12 +187,12 @@ def run_chain_suite(seed: int, instances: int = 25, dims: Dims = None) -> SuiteS
                     yield label, rep.equal, f"instance {k}: {rep.render()}"
 
     rows = tally_rows(results(), f"{instances}/{instances} instances")
-    return SuiteSection("Proof-chain identities", tuple(SuiteRow(*r) for r in rows))
+    return "Proof-chain identities", tuple(rows)
 
 
 def run_factorization_suite(
     seed: int, instances: int = 25, dims: Dims = None
-) -> SuiteSection:
+) -> Section:
     rng = random.Random(seed)
     labels = (
         "single-sided factor identity",
@@ -260,106 +232,88 @@ def run_factorization_suite(
         f"{instances}/{instances} instances",
         labels,
     )
-    return SuiteSection("Factorization through a linear map", tuple(SuiteRow(*r) for r in rows))
+    return "Factorization through a linear map", tuple(rows)
 
 
-def run_slice_bridge_suite(seed: int, pairs: int = 25, dims: Dims = None) -> SuiteSection:
+def run_slice_bridge_suite(seed: int, pairs: int = 25, dims: Dims = None) -> Section:
     rng = random.Random(seed)
 
     def results():
         for _ in range(pairs):
             f = _rand_tri(rng, dims)
             wstar = vector(tuple(rng.randint(-9, 9) for _ in range(f.codomain_dim)))
-            yield from slice_bridge_check(f, wstar).rows
+            yield from slice_bridge_check(f, wstar)[1]
 
-    rows = tally_rows(results(), f"{pairs}/{pairs} pairs")
-    return SuiteSection("Bilinear slice bridge", tuple(SuiteRow(*r) for r in rows))
+    return "Bilinear slice bridge", tuple(tally_rows(results(), f"{pairs}/{pairs} pairs"))
 
 
-def run_nested_bilinear_cases(seed: int) -> SuiteSection:
+def run_nested_bilinear_cases(seed: int) -> Section:
     rows = []
     f = random_map(3, (2, 2, 2), 2, seed=seed, name="f")
     zero2 = from_function("m", (2, 2), 2, lambda *_: 0)
     try:
         checks = nested_bilinear_check(f, zero2, zero2)
         ok = all(flag for _, flag, _ in checks)
-        rows.append(
-            SuiteRow(
-                "zero inner map accepted",
-                ok,
-                "; ".join(d for _, _, d in checks),
-            )
-        )
+        rows.append(("zero inner map accepted", ok, "; ".join(d for _, _, d in checks)))
     except ConstraintViolated as exc:
-        rows.append(SuiteRow("zero inner map accepted", False, str(exc)))
+        rows.append(("zero inner map accepted", False, str(exc)))
 
     scalar_f = from_function("f", (1, 1, 1), 1, lambda *_: 1)
     scalar_inner = from_function("m", (1, 1), 1, lambda *_: 1)
     scalar_cand = from_function("th", (1, 1), 1, lambda *_: 1)
     try:
         nested_bilinear_check(scalar_f, scalar_inner, scalar_cand)
-        rows.append(
-            SuiteRow("nonlinear scalar candidate rejected", False, "no violation raised")
-        )
+        rows.append(("nonlinear scalar candidate rejected", False, "no violation raised"))
     except ConstraintViolated as exc:
-        rows.append(SuiteRow("nonlinear scalar candidate rejected", True, str(exc)))
+        rows.append(("nonlinear scalar candidate rejected", True, str(exc)))
 
     zero1 = from_function("m", (1, 1), 1, lambda *_: 0)
     try:
         checks = nested_bilinear_check(scalar_f, zero1, zero1)
-        rows.append(
-            SuiteRow(
-                "zero scalar case accepted",
-                all(flag for _, flag, _ in checks),
-                ""),
-        )
+        rows.append(("zero scalar case accepted", all(flag for _, flag, _ in checks), ""))
     except ConstraintViolated as exc:
-        rows.append(SuiteRow("zero scalar case accepted", False, str(exc)))
-    return SuiteSection("Nested bilinear constraint", tuple(rows))
+        rows.append(("zero scalar case accepted", False, str(exc)))
+    return "Nested bilinear constraint", tuple(rows)
 
 
-def run_group_fixture_suite(names=GROUP_FIXTURES) -> SuiteSection:
+def run_group_fixture_suite(names=GROUP_FIXTURES) -> Section:
     rows = []
     for name in names:
         model, triple = group_algebra(cayley_fixture(name))
         bad = _six_disagree(triple)
-        rows.append(SuiteRow(f"{name}: six extensions coincide", not bad, bad))
+        rows.append((f"{name}: six extensions coincide", not bad, bad))
         pi = model.multiplication
         stacked = compose_into_slot(pi, pi, 1, name="pipi")
         rep = equal(triple, stacked)
-        rows.append(
-            SuiteRow(f"{name}: triple map factors through the product", rep.equal, rep.render())
-        )
-    return SuiteSection("Finite group convolution (complete regularity)", tuple(rows))
+        rows.append((f"{name}: triple map factors through the product", rep.equal, rep.render()))
+    return "Finite group convolution (complete regularity)", tuple(rows)
 
 
-def run_derivation_suite() -> SuiteSection:
+def run_derivation_suite() -> Section:
     rows = []
     for name in ("zero", "poly3-euler"):
         cand = derivation_fixture(name)
         rep = is_tri_derivation(cand)
-        rows.append(SuiteRow(f"{name}: slot identities hold", rep.holds, rep.render()))
+        rows.append((f"{name}: slot identities hold", rep.holds, rep.render()))
         for title, checks in (
             ("fourth-adjoint harness", fourth_adjoint_check(cand)),
             ("composite extension statements", composite_extension_checks(cand)),
         ):
-            rows.append(
-                SuiteRow(
-                    f"{name}: {title} ({len(checks)} checks)",
-                    all(ok for _, ok, _ in checks),
-                    "; ".join(lbl for lbl, ok, _ in checks if not ok) or "all passed",
-                )
-            )
+            rows.append((
+                f"{name}: {title} ({len(checks)} checks)",
+                all(ok for _, ok, _ in checks),
+                "; ".join(lbl for lbl, ok, _ in checks if not ok) or "all passed",
+            ))
     for name in ("z3-conv", "matrix2-inner"):
         cand = derivation_fixture(name)
         rep = is_tri_derivation(cand)
-        rows.append(SuiteRow(f"{name}: rejected with witness", not rep.holds, rep.render()))
-    return SuiteSection("Tri-derivations and the fourth adjoint", tuple(rows))
+        rows.append((f"{name}: rejected with witness", not rep.holds, rep.render()))
+    return "Tri-derivations and the fourth adjoint", tuple(rows)
 
 
 def run_adjoint_pairing(
     seed: int, instances: int = 200, dims: Dims = None
-) -> SuiteSection:
+) -> Section:
     rng = random.Random(seed)
     failures = []
     for k in range(instances):
@@ -377,9 +331,8 @@ def run_adjoint_pairing(
     detail = f"{instances - len(failures)}/{instances} instances"
     if failures:
         detail += "; failing instances: " + ", ".join(failures[:5])
-    return SuiteSection(
-        "Adjoint pairing identity",
-        (SuiteRow("pairing identity on all basis tuples", not failures, detail),),
+    return "Adjoint pairing identity", (
+        ("pairing identity on all basis tuples", not failures, detail),
     )
 
 
@@ -389,7 +342,7 @@ def full_suite(
     instances: int = 25,
     dims: Dims = None,
     fixtures=GROUP_FIXTURES,
-) -> tuple[SuiteSection, ...]:
+) -> tuple[Section, ...]:
     return (
         run_limit_order_goldens(),
         run_symbolic_suite(),
@@ -409,18 +362,18 @@ def render_report(sections, config_line: str) -> str:
     out = ["# Extension calculus verification report", "", config_line, ""]
     total = 0
     failed = 0
-    for section in sections:
-        out.append(f"## {section.title}")
+    for title, rows in sections:
+        out.append(f"## {title}")
         out.append("")
         out.append("| check | result | detail |")
         out.append("|---|---|---|")
-        for row in section.rows:
+        for name, passed, detail in rows:
             total += 1
-            if not row.passed:
+            if not passed:
                 failed += 1
-            mark = "PASS" if row.passed else "FAIL"
-            detail = row.detail.replace("|", "\\|")
-            out.append(f"| {row.name.replace('|', chr(92) + '|')} | {mark} | {detail} |")
+            mark = "PASS" if passed else "FAIL"
+            detail = detail.replace("|", "\\|")
+            out.append(f"| {name.replace('|', chr(92) + '|')} | {mark} | {detail} |")
         out.append("")
     verdict = "all passed" if failed == 0 else f"{failed} FAILED"
     out.append(f"Summary: {total} checks, {verdict}.")

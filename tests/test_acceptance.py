@@ -30,76 +30,76 @@ from arenscalc.suites import (
 )
 
 
-def _failing(section):
-    return [(r.name, r.detail) for r in section.rows if not r.passed]
+def _failing(rows):
+    return [(name, detail) for name, ok, detail in rows if not ok]
 
 
 def test_criterion_1_limit_order_golden_table():
     start = time.perf_counter()
-    section = run_limit_order_goldens()
+    _, rows = run_limit_order_goldens()
     elapsed = time.perf_counter() - start
-    assert len(section.rows) == 6
-    assert section.passed, _failing(section)
+    assert len(rows) == 6
+    assert not _failing(rows), _failing(rows)
     assert elapsed < 1.0, f"golden table took {elapsed:.2f}s"
 
 
 def test_criterion_2_symbolic_suite():
-    section = run_symbolic_suite()
-    assert len(section.rows) == 7
-    assert section.passed, _failing(section)
+    _, rows = run_symbolic_suite()
+    assert len(rows) == 7
+    assert not _failing(rows), _failing(rows)
 
 
 def test_criterion_3_extension_sweep_100_random_tensors():
     start = time.perf_counter()
-    section = run_extension_sweep(seed=0, trials=100)
+    _, rows = run_extension_sweep(seed=0, trials=100)
     elapsed = time.perf_counter() - start
-    assert section.passed, _failing(section)
-    assert section.rows[0].detail == "100/100 trials"
+    assert not _failing(rows), _failing(rows)
+    assert rows[0][2] == "100/100 trials"
     assert elapsed < 10.0, f"sweep took {elapsed:.2f}s"
 
 
 def test_criterion_4_proof_chain_identities():
-    section = run_chain_suite(seed=1, instances=25)
-    assert section.passed, _failing(section)
-    assert len(section.rows) == 17
-    for row in section.rows:
-        assert row.detail == "25/25 instances", (row.name, row.detail)
+    _, rows = run_chain_suite(seed=1, instances=25)
+    assert not _failing(rows), _failing(rows)
+    assert len(rows) == 17
+    for name, _, detail in rows:
+        assert detail == "25/25 instances", (name, detail)
 
 
 def test_criterion_5_factorization_suite():
-    section = run_factorization_suite(seed=2, instances=25)
-    assert section.passed, _failing(section)
-    assert len(section.rows) == 5
-    for row in section.rows:
-        assert row.detail == "25/25 instances", (row.name, row.detail)
+    _, rows = run_factorization_suite(seed=2, instances=25)
+    assert not _failing(rows), _failing(rows)
+    assert len(rows) == 5
+    for name, _, detail in rows:
+        assert detail == "25/25 instances", (name, detail)
 
 
 def test_criterion_6_slice_bridge_and_nested_constraint():
-    bridge = run_slice_bridge_suite(seed=3, pairs=25)
-    assert bridge.passed, _failing(bridge)
-    for row in bridge.rows:
-        assert row.detail == "25/25 pairs", (row.name, row.detail)
-    nested = run_nested_bilinear_cases(seed=4)
-    assert nested.passed, _failing(nested)
-    names = [r.name for r in nested.rows]
+    _, bridge = run_slice_bridge_suite(seed=3, pairs=25)
+    assert not _failing(bridge), _failing(bridge)
+    for name, _, detail in bridge:
+        assert detail == "25/25 pairs", (name, detail)
+    _, nested = run_nested_bilinear_cases(seed=4)
+    assert not _failing(nested), _failing(nested)
+    names = [name for name, _, _ in nested]
     assert "zero inner map accepted" in names
     assert "nonlinear scalar candidate rejected" in names
 
 
 def test_criterion_7_group_fixtures_completely_regular():
-    section = run_group_fixture_suite()
-    assert section.passed, _failing(section)
-    assert len(section.rows) == 8
+    _, rows = run_group_fixture_suite()
+    assert not _failing(rows), _failing(rows)
+    assert len(rows) == 8
     start = time.perf_counter()
-    s3_only = run_group_fixture_suite(("s3",))
+    _, s3_only = run_group_fixture_suite(("s3",))
     elapsed = time.perf_counter() - start
-    assert s3_only.passed, _failing(s3_only)
+    assert not _failing(s3_only), _failing(s3_only)
     assert elapsed < 5.0, f"s3 checks took {elapsed:.2f}s"
 
 
 def test_criterion_8_derivation_suite():
-    section = run_derivation_suite()
-    assert section.passed, _failing(section)
+    _, rows = run_derivation_suite()
+    assert not _failing(rows), _failing(rows)
 
     for name in ("zero", "poly3-euler"):
         cand = derivation_fixture(name)
@@ -118,6 +118,6 @@ def test_criterion_8_derivation_suite():
 
 
 def test_criterion_9_adjoint_pairing_200_instances():
-    section = run_adjoint_pairing(seed=5, instances=200)
-    assert section.passed, _failing(section)
-    assert section.rows[0].detail == "200/200 instances"
+    _, rows = run_adjoint_pairing(seed=5, instances=200)
+    assert not _failing(rows), _failing(rows)
+    assert rows[0][2] == "200/200 instances"

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from arenscalc import suites
 from arenscalc.cli import main
 from arenscalc.tensor import MultiMap, default_labels, random_map, save_map, to_dict
 
@@ -318,6 +319,17 @@ def test_report_bytes_are_pinned_at_more_seeds(tmp_path, capsys, args, md5):
     out = tmp_path / "report.md"
     assert main(["report", "--seed", *args.split(), "--out", str(out)]) == 0
     assert hashlib.md5(out.read_bytes()).hexdigest() == md5
+
+
+def test_report_with_a_failing_row_exits_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        suites, "run_symbolic_suite", lambda: ("Symbolic classifier", (("broken", False, "boom"),))
+    )
+    out = tmp_path / "report.md"
+    assert main(["report", "--trials", "1", "--instances", "1", "--out", str(out)]) == 1
+    text = out.read_text()
+    assert "| broken | FAIL | boom |" in text
+    assert text.splitlines()[-1].endswith(", 1 FAILED.")
 
 
 def test_report_seed_changes_config_line(tmp_path):

@@ -20,7 +20,8 @@ from arenscalc.algebra import (
 import arenscalc.derivation as derivation_module
 from arenscalc.derivation import (
     FIXTURE_NAMES,
-    _families,
+    _family,
+    _family_rows,
     TriDerivationCandidate,
     composite_extension_checks,
     derivation_fixture,
@@ -575,11 +576,11 @@ def _right_composite_per_anchor(cand, a, name):
 @pytest.mark.parametrize("name", sorted(CANDIDATES))
 def test_right_family_matches_per_anchor_build(name):
     cand = CANDIDATES[name]
-    build, count = _families(cand)[0]
-    assert count == cand.module.algebra.dim
+    build, count = _family(cand, "right"), cand.module.algebra.dim
+    assert _family_rows(cand, "right", [("x", "", "")]) == [("x", True, f"{count} bases checked")]
     for k in range(count):
         want = _right_composite_per_anchor(cand, basis_vector(count, k), f"rc{k}")
-        assert build(k) == want
+        assert build(basis_vector(count, k), f"rc{k}") == want
     a = vector([Fraction(k - 1, k + 1) for k in range(count)])
     assert right_action_composite(cand, a, name="rc") == (
         _right_composite_per_anchor(cand, a, "rc")
@@ -589,11 +590,11 @@ def test_right_family_matches_per_anchor_build(name):
 @pytest.mark.parametrize("name", sorted(CANDIDATES))
 def test_dual_family_matches_per_functional_build(name):
     cand = CANDIDATES[name]
-    build, count = _families(cand)[1]
-    assert count == cand.module.carrier_dim
+    build, count = _family(cand, "dual"), cand.module.carrier_dim
+    assert _family_rows(cand, "dual", [("x", "", "")]) == [("x", True, f"{count} bases checked")]
     for k in range(count):
         want = _dual_composite_per_functional(cand, basis_vector(count, k), f"dc{k}")
-        assert build(k) == want
+        assert build(basis_vector(count, k), f"dc{k}") == want
     xstar = vector([Fraction(k - 1, k + 1) for k in range(count)])
     assert dual_action_composite(cand, xstar, name="dc") == (
         _dual_composite_per_functional(cand, xstar, "dc")

@@ -233,12 +233,15 @@ def test_single_condition_does_not_collapse_everything():
 
 def test_flip_conjugation_checks():
     rows = flip_conjugation_checks()
-    assert all(row.ok for row in rows)
+    assert all(ok for _, ok, _ in rows)
     assert len(rows) == 5
-    by_flip = {row.flip: row for row in rows}
-    assert by_flip["r"].condition == "close-to-regular(f^r)"
-    assert by_flip["t"].stated_pair == ("f^{s****t}", "f^{****}")
-    assert by_flip["s"].stated_pair == ("f^{t****s}", "f^{****}")
+    by_flip = {}
+    for name, _, condition in rows:
+        flip, pair = name.removeprefix("flip ").split(": ")
+        by_flip[flip] = (tuple(pair.split(" vs ")), condition)
+    assert by_flip["r"][1] == "close-to-regular(f^r)"
+    assert by_flip["t"][0] == ("f^{s****t}", "f^{****}")
+    assert by_flip["s"][0] == ("f^{t****s}", "f^{****}")
 
 
 def test_classify_respects_equivalence_through_trailing_flips():

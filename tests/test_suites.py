@@ -10,8 +10,6 @@ from arenscalc.expr import ExprAst, parse
 from arenscalc.suites import (
     CHAIN_GROUPS,
     GOLDEN_ORDERS,
-    SuiteRow,
-    SuiteSection,
     full_suite,
     render_report,
     run_chain_suite,
@@ -32,10 +30,7 @@ def test_catalog_is_well_formed():
 
 
 def test_render_report_escapes_pipes():
-    section = SuiteSection(
-        "demo",
-        (SuiteRow("name|with pipe", True, "detail|pipe"),),
-    )
+    section = ("demo", (("name|with pipe", True, "detail|pipe"),))
     text = render_report((section,), "Configuration: demo.")
     assert "name\\|with pipe" in text
     assert "detail\\|pipe" in text
@@ -45,10 +40,7 @@ def test_render_report_escapes_pipes():
 
 
 def test_render_report_counts_failures():
-    section = SuiteSection(
-        "demo",
-        (SuiteRow("good", True), SuiteRow("bad", False, "boom")),
-    )
+    section = ("demo", (("good", True, ""), ("bad", False, "boom")))
     text = render_report((section,), "cfg")
     assert "Summary: 2 checks, 1 FAILED." in text
     assert "| bad | FAIL | boom |" in text
@@ -56,7 +48,7 @@ def test_render_report_counts_failures():
 
 def test_full_suite_section_order_is_stable():
     sections = full_suite(seed=0, trials=2, instances=1, dims=(2, 2, 2, 2))
-    titles = [s.title for s in sections]
+    titles = [title for title, _ in sections]
     assert titles == [
         "Limit orders of the six extensions",
         "Symbolic classifier",
@@ -69,7 +61,7 @@ def test_full_suite_section_order_is_stable():
         "Tri-derivations and the fourth adjoint",
         "Adjoint pairing identity",
     ]
-    assert all(s.passed for s in sections)
+    assert all(ok for _, rows in sections for _, ok, _ in rows)
 
 
 def _break_s_extension(monkeypatch):
@@ -92,8 +84,8 @@ def _break_s_extension(monkeypatch):
 
 def test_sweep_failure_detail_is_pinned(monkeypatch):
     _break_s_extension(monkeypatch)
-    (row,) = run_extension_sweep(0, trials=6).rows
-    assert row == SuiteRow(
+    _, (row,) = run_extension_sweep(0, trials=6)
+    assert row == (
         "all six realized extensions coincide",
         False,
         "4/6 trials; first failure: trial 2: "
@@ -103,22 +95,22 @@ def test_sweep_failure_detail_is_pinned(monkeypatch):
 
 def test_chain_failure_details_are_pinned(monkeypatch):
     _break_s_extension(monkeypatch)
-    rows = run_chain_suite(1, instances=4).rows
+    _, rows = run_chain_suite(1, instances=4)
     assert len(rows) == 17
-    failed = [row for row in rows if not row.passed]
+    failed = [row for row in rows if not row[1]]
     assert failed == [
-        SuiteRow(
+        (
             "[close-to-regular criteria] f^{s****t} = f^{t****s}",
             False,
             "instance 0: FAIL  f^{s****t} != f^{t****s} at index [0, 0, 0, 0]: 4 vs 3",
         ),
-        SuiteRow(
+        (
             "[limit interchange] f^{****} = f^{s****t}",
             False,
             "instance 2: FAIL  f^{****} != f^{s****t} at index [0, 0, 0, 0]: 7 vs 8",
         ),
     ]
-    assert all(row.detail == "4/4 instances" for row in rows if row.passed)
+    assert all(detail == "4/4 instances" for _, ok, detail in rows if ok)
 
 
 def test_chain_suite_folds_each_word_once(monkeypatch):
@@ -131,7 +123,8 @@ def test_chain_suite_folds_each_word_once(monkeypatch):
 
     prepared.cache_clear()
     monkeypatch.setattr(semantics, "axis_semantics", counting)
-    assert run_chain_suite(1, instances=4).passed
+    _, rows = run_chain_suite(1, instances=4)
+    assert all(ok for _, ok, _ in rows)
     words = {word for _, pairs in CHAIN_GROUPS for pair in pairs for word in pair}
     assert len(calls) == len(words)  # once per distinct word, not per side or instance
 
@@ -146,7 +139,7 @@ def test_second_full_suite_folds_only_in_classify(monkeypatch):
         return real(expr, base_arity)
 
     monkeypatch.setattr(semantics, "axis_semantics", counting)
-    assert all(section.passed for section in full_suite())
+    assert all(ok for _, rows in full_suite() for _, ok, _ in rows)
     assert callers == ["classify"] * 34  # every word of the package is prepared already
 
 
@@ -162,17 +155,17 @@ def test_full_suite_runs_without_the_step_by_step_oracle(monkeypatch):
                     monkeypatch.setattr(module, attr, refuse)
     assert tensor.adjoint is refuse and tensor.flip is refuse
     sections = full_suite(seed=0, trials=2, instances=1, dims=(2, 2, 2, 2))
-    assert all(section.passed for section in sections)
+    assert all(ok for _, rows in sections for _, ok, _ in rows)
 
 
 def test_group_failure_detail_is_pinned(monkeypatch):
     _break_s_extension(monkeypatch)
-    rows = run_group_fixture_suite().rows
-    assert [row.name for row in rows if not row.passed] == ["z3: six extensions coincide"]
-    assert rows[2].detail == (
+    _, rows = run_group_fixture_suite()
+    assert [name for name, ok, _ in rows if not ok] == ["z3: six extensions coincide"]
+    assert rows[2][2] == (
         "FAIL  conv3^{i****i} != conv3^{s****t} at index [0, 0, 0, 0]: 1 vs 2"
     )
-    assert rows[0] == SuiteRow("z2: six extensions coincide", True, "")
+    assert rows[0] == ("z2: six extensions coincide", True, "")
 
 
 # every word in the operation alphabet realizes to a well-formed tensor
