@@ -13,28 +13,25 @@ base axis it came from (``out``, ``in1``, ...), with a trailing ``*`` when
 the axis currently sits at odd dual level; comparisons align axes by label
 so that two realizations are compared slot-order blind.
 
-One strided kernel does the numeric work: ``_permute`` reorders axes by a
-single gather through flat offsets, cached per (shape, axis order), and
-``_contract_last`` contracts the fastest axis with a vector in integers:
-each operand is scaled once to ints over one common denominator (the lcm
-of its denominators), and the exact ``Fraction``s are built once at the
-end, integers, and ``random_map``'s ``randint(-9, 9)`` draws, from one
-bounded cache.  A word is realized as one permutation: ``realizer`` folds
-it once, through ``semantics.axis_semantics``, into an axis order and dual
-levels, and applies that to any base map of its arity by a single
-``transpose``.  It has two entry points.  ``prepared(word, arity)`` is
-one bounded table of realizers for the words the package itself states
-(the extensions, the chain, bridge and nested-map words, the adjoint),
-so each is folded once per process; ``realize`` folds on every call and
-serves words from outside, which may be arbitrarily long and are never
-kept.  ``adjoint`` and ``flip`` apply one operation at a time; they are
-the oracle the tests compare the fold against.  ``equal`` compares the
-aligned entries in one tuple comparison, which is mostly identity checks
-since realizations share their base's ``Fraction`` objects and equal
-small integers are one cached object, and scans for the first mismatch
-only when it fails.  An identity between sums of composed maps is checked
-by ``_first_mismatch_block``, which sums every side in ints with the
-codomain axis last and reports the first differing block as a
+``_permute`` reorders axes by one gather through flat offsets, cached per
+(shape, axis order); ``_contract_last`` contracts the fastest axis with a
+vector in ints over one common denominator, building the exact
+``Fraction``s once at the end, small integers from one bounded cache.  A
+word is realized as one permutation: ``realizer`` folds it once, through
+``semantics.axis_semantics``, into an axis order and dual levels, applied
+to a base map by one ``transpose``.  ``prepared(word, arity)`` is one
+bounded table of realizers for the package's own words, each folded once
+per process; ``realize`` folds on every call, for words from outside, never
+kept.  ``adjoint`` and ``flip`` are the step-by-step test oracle.
+
+A stack is n maps of one shape laid end to end, with a leading instance
+axis; a single map is a stack of one.  ``transpose``, so every realizer,
+moves the axes of all instances in one gather, and ``equal`` compares two
+stacks in one tuple comparison, mostly of shared objects, and scans for the
+first mismatch, indexed within its instance, only if that fails.  A caller
+whose stack fails checks its maps again one by one, so a witness is a
+single map's.  ``_first_mismatch_block`` checks an identity between sums of
+composed maps in ints, codomain last, naming the first differing block as a
 lexicographic witness.
 
 All entries are ``fractions.Fraction`` and all checks are exact; a float
@@ -44,6 +41,7 @@ read from a map file is its exact binary value.
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 from array import array
@@ -51,9 +49,10 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count, islice, product
+from itertools import chain, compress, count, islice, product
 from math import lcm, prod
 from operator import add, ne
+from stat import S_ISREG
 
 from . import semantics
 from .expr import ExprAst, flip_perm, parse
@@ -101,6 +100,7 @@ class MultiMap:
     codomain_dim: int
     axis_labels: tuple[str, ...]
     entries: tuple[Fraction, ...]
+    instances: int = 1  # past 1, a stack: that many maps of this shape, end to end
 
     def __post_init__(self):
         if self.arity < 1 or len(self.input_dims) != self.arity:
@@ -114,7 +114,7 @@ class MultiMap:
             raise ShapeMismatch(f"{self.name}: need {self.arity + 1} axis labels")
         if len(set(self.axis_labels)) != len(self.axis_labels):
             raise ShapeMismatch(f"{self.name}: axis labels must be unique")
-        if len(self.entries) != prod(shape):
+        if len(self.entries) != self.instances * prod(shape):
             raise ShapeMismatch(
                 f"{self.name}: {len(self.entries)} entries for shape {shape}"
             )
@@ -141,13 +141,21 @@ def from_function(name, input_dims, codomain_dim, fn) -> MultiMap:
     return MultiMap(name, len(input_dims), input_dims, codomain_dim, labels, entries)
 
 
+def stack(maps: Sequence[MultiMap]) -> MultiMap:
+    """Maps of one shape and labels as one stack, named after the first."""
+    if len({(m.shape, m.axis_labels) for m in maps}) != 1:
+        raise ShapeMismatch("the maps of a stack differ in shape or labels")
+    entries = tuple(chain.from_iterable(m.entries for m in maps))
+    return replace(maps[0], entries=entries, instances=sum(m.instances for m in maps))
+
+
 @lru_cache(maxsize=512)
-def _plan(shape: tuple[int, ...], new_axes: tuple[int, ...]) -> array:
-    """Flat offsets that read row-major entries of ``shape`` in ``new_axes`` order."""
+def _plan(shape: tuple[int, ...], new_axes: tuple[int, ...], n: int) -> array:
+    """Flat offsets that read ``n`` row-major tensors of ``shape`` in ``new_axes`` order."""
     strides = [1] * len(shape)
     for k in range(len(shape) - 1, 0, -1):
         strides[k - 1] = strides[k] * shape[k]
-    offs = [0]
+    offs = list(range(0, n * prod(shape), prod(shape)))
     for a in new_axes:
         stride, size = strides[a], shape[a]
         offs = [o + i * stride for o in offs for i in range(size)]
@@ -157,13 +165,13 @@ def _plan(shape: tuple[int, ...], new_axes: tuple[int, ...]) -> array:
 del _plan.__wrapped__  # the bench tracer reads any __wrapped__ as a wrapper left installed
 
 
-def _permute(entries, shape, new_axes) -> tuple:
-    """Row-major entries with the axes reordered; new axis b is old axis
-    new_axes[b].  One gather through the cached plan of the pair."""
+def _permute(entries, shape, new_axes, n: int = 1) -> tuple:
+    """Row-major entries with the axes reordered, in each of ``n`` instances;
+    new axis b is old axis new_axes[b].  One gather through the cached plan."""
     new_axes = tuple(new_axes)
     if new_axes == tuple(range(len(shape))):
         return tuple(entries)
-    return tuple(map(entries.__getitem__, _plan(tuple(shape), new_axes)))
+    return tuple(map(entries.__getitem__, _plan(tuple(shape), new_axes, n)))
 
 
 _integer = lru_cache(maxsize=1024)(Fraction)  # one shared object per small integer
@@ -212,7 +220,7 @@ def transpose(m: MultiMap, new_axes, name=None, labels=None) -> MultiMap:
         labels = tuple(m.axis_labels[a] for a in new_axes)
     return MultiMap(
         name if name is not None else m.name, m.arity, new_shape[1:], new_shape[0],
-        labels, _permute(m.entries, m.shape, new_axes),
+        labels, _permute(m.entries, m.shape, new_axes, m.instances), m.instances,
     )
 
 
@@ -319,6 +327,8 @@ def equal(left: MultiMap, right: MultiMap) -> IdentityReport:
     """Entrywise comparison after aligning the right map's axes by label."""
     if left.arity != right.arity:
         raise ShapeMismatch(f"arity {left.arity} vs {right.arity}")
+    if left.instances != right.instances:
+        raise ShapeMismatch(f"stacks of {left.instances} vs {right.instances} maps")
     index = {label: k for k, label in enumerate(right.axis_labels)}
     if index.keys() != set(left.axis_labels):
         raise ShapeMismatch(
@@ -331,11 +341,11 @@ def equal(left: MultiMap, right: MultiMap) -> IdentityReport:
         dims = f"{left.shape} vs {shape}" if len(shape) <= 8 else (
             f"{left.shape[k]} vs {shape[k]} on axis {left.axis_labels[k]}")
         raise ShapeMismatch(f"dims {dims} after label alignment")
-    aligned = _permute(right.entries, right.shape, axes)
+    aligned = _permute(right.entries, right.shape, axes, right.instances)
     if left.entries == aligned:
         return IdentityReport(left.name, right.name, True)
     pos = next(compress(count(), map(ne, left.entries, aligned)))
-    idx = next(islice(product(*map(range, left.shape)), pos, None))
+    idx = next(islice(product(*map(range, left.shape)), pos % prod(left.shape), None))
     return IdentityReport(
         left.name, right.name, False, (idx, str(left.entries[pos]), str(aligned[pos]))
     )
@@ -516,6 +526,14 @@ def save_map(m: MultiMap, path) -> None:
         fh.write("\n")
 
 
+MAP_FILE_BYTES = 1 << 20  # the most load_map reads of a map file, which must be a regular file
+
+
 def load_map(path) -> MultiMap:
-    with open(path, encoding="utf-8") as fh:
-        return from_dict(json.load(fh))
+    if not S_ISREG(os.stat(path).st_mode):
+        raise OSError(f"map file {path} is not a regular file")
+    with open(path, "rb") as fh:
+        data = fh.read(MAP_FILE_BYTES + 1)
+    if len(data) > MAP_FILE_BYTES:
+        raise OSError(f"map file {path} is larger than {MAP_FILE_BYTES} bytes")
+    return from_dict(json.loads(data.decode("utf-8")))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from arenscalc import suites
+from arenscalc import suites, tensor
 from arenscalc.cli import main
 from arenscalc.tensor import MultiMap, default_labels, random_map, save_map, to_dict
 
@@ -172,6 +173,33 @@ def test_check_map_nested_too_deep_exits_with_one_error_line(tmp_path, capsys):
     _one_error_line(capsys, "error: RecursionError: ")
 
 
+@pytest.mark.parametrize("kind", ["fifo", "directory", "device"])
+def test_check_map_refuses_anything_but_a_regular_file_unread(tmp_path, kind):
+    # in a child process, so a FIFO opened by mistake fails the test by the
+    # timeout instead of blocking the run
+    path = {"fifo": tmp_path / "pipe", "directory": tmp_path, "device": "/dev/zero"}[kind]
+    if kind == "fifo":
+        os.mkfifo(path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "arenscalc.cli", "check", "f", "f", "--map", str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: OSError: map file {path} is not a regular file"]
+
+
+def test_check_map_reads_at_most_the_byte_cap(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "m.json"
+    save_map(random_map(1, (1,), 1, seed=4), path)
+    size = path.stat().st_size
+    monkeypatch.setattr(tensor, "MAP_FILE_BYTES", size)
+    assert main(["check", "f", "f", "--map", str(path)]) == 0
+    monkeypatch.setattr(tensor, "MAP_FILE_BYTES", size - 1)
+    assert main(["check", "f", "f", "--map", str(path)]) == 2
+    line = _one_error_line(capsys, "error: OSError: ")
+    assert line.endswith(f"map file {path} is larger than {size - 1} bytes")
+
+
 @pytest.fixture
 def arity_four_map(tmp_path):
     path = tmp_path / "a4.json"
@@ -313,6 +341,10 @@ def test_report_default_bytes_are_pinned(tmp_path, capsys):
             "5 --dims 1,2,3,2 --trials 7 --instances 4 --fixture z2 --fixture z4",
             "910c5514410db69f98f0a681e2045fe6",
         ),
+        # default trials and instances on non-cubic dims: every random map of
+        # the sweep and the chain is one stack of one shape
+        ("9 --dims 3,2,2,2", "b665dcd6458fc1f4df970a550929720f"),
+        ("13 --dims 1,3,2,2", "954f6cbcf0ea9928254fdb3d464cee08"),
     ],
 )
 def test_report_bytes_are_pinned_at_more_seeds(tmp_path, capsys, args, md5):

@@ -445,6 +445,40 @@ def test_fourth_adjoint_failure_details_are_pinned(perturb_realized):
     ]
 
 
+def test_composite_family_failure_details_are_pinned(perturb_realized):
+    # the composites of all anchors are checked as one stack (named "rc" or
+    # "dc") and, where that fails, anchor by anchor ("rc1", "dc2"); break both
+    perturb_realized("rc^{t****s}", "rc1^{t****s}", "dc^{i****i}", "dc2^{i****i}")
+    rows = composite_extension_checks(CANDIDATES["poly3-euler"])
+    assert [row for row in rows if not row[1]] == [
+        (
+            "right composites, item 1: plain equals t-conjugated",
+            False,
+            "basis 1: FAIL  rc1^{****} != rc1^{t****s} at index [0, 0, 0, 0]: 0 vs 1",
+        ),
+        (
+            "right composites, item 2: r-conjugated equals t-conjugated",
+            False,
+            "basis 1: FAIL  rc1^{r****r} != rc1^{t****s} at index [0, 0, 0, 0]: 0 vs 1",
+        ),
+        (
+            "dual composites, item 1: r-conjugated equals i-conjugated",
+            False,
+            "basis 2: FAIL  dc2^{r****r} != dc2^{i****i} at index [0, 0, 0, 0]: 0 vs 1",
+        ),
+        (
+            "dual composites, item 2: plain equals i-conjugated",
+            False,
+            "basis 2: FAIL  dc2^{****} != dc2^{i****i} at index [0, 0, 0, 0]: 0 vs 1",
+        ),
+        (
+            "dual composites, item 3: plain equals i-conjugated (repeat)",
+            False,
+            "basis 2: FAIL  dc2^{****} != dc2^{i****i} at index [0, 0, 0, 0]: 0 vs 1",
+        ),
+    ]
+
+
 @pytest.mark.parametrize("role", ["product", "left action", "right action"])
 def test_fourth_adjoint_failure_names_the_structure_map(monkeypatch, role):
     # poly3-euler's product and both actions are one map named "pi"; give
@@ -578,9 +612,13 @@ def test_right_family_matches_per_anchor_build(name):
     cand = CANDIDATES[name]
     build, count = _family(cand, "right"), cand.module.algebra.dim
     assert _family_rows(cand, "right", [("x", "", "")]) == [("x", True, f"{count} bases checked")]
+    every = build(None, "rc")  # all basis anchors as one stack
+    size = len(every.entries) // count
     for k in range(count):
         want = _right_composite_per_anchor(cand, basis_vector(count, k), f"rc{k}")
         assert build(basis_vector(count, k), f"rc{k}") == want
+        assert (every.shape, every.axis_labels) == (want.shape, want.axis_labels)
+        assert every.entries[k * size:(k + 1) * size] == want.entries
     a = vector([Fraction(k - 1, k + 1) for k in range(count)])
     assert right_action_composite(cand, a, name="rc") == (
         _right_composite_per_anchor(cand, a, "rc")
@@ -592,9 +630,13 @@ def test_dual_family_matches_per_functional_build(name):
     cand = CANDIDATES[name]
     build, count = _family(cand, "dual"), cand.module.carrier_dim
     assert _family_rows(cand, "dual", [("x", "", "")]) == [("x", True, f"{count} bases checked")]
+    every = build(None, "dc")  # all basis anchors as one stack
+    size = len(every.entries) // count
     for k in range(count):
         want = _dual_composite_per_functional(cand, basis_vector(count, k), f"dc{k}")
         assert build(basis_vector(count, k), f"dc{k}") == want
+        assert (every.shape, every.axis_labels) == (want.shape, want.axis_labels)
+        assert every.entries[k * size:(k + 1) * size] == want.entries
     xstar = vector([Fraction(k - 1, k + 1) for k in range(count)])
     assert dual_action_composite(cand, xstar, name="dc") == (
         _dual_composite_per_functional(cand, xstar, "dc")

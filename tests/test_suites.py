@@ -113,6 +113,37 @@ def test_chain_failure_details_are_pinned(monkeypatch):
     assert all(detail == "4/4 instances" for _, ok, detail in rows if ok)
 
 
+def test_sweep_failure_detail_at_fixed_dims_is_pinned(monkeypatch):
+    _break_s_extension(monkeypatch)
+    _, (row,) = run_extension_sweep(0, trials=6, dims=(3, 2, 2, 2))
+    assert row == (
+        "all six realized extensions coincide",
+        False,
+        "0/6 trials; first failure: trial 0: "
+        "FAIL  f^{i****i} != f^{s****t} at index [0, 0, 0, 0]: 9 vs 10",
+    )
+
+
+def test_chain_failure_details_at_fixed_dims_are_pinned(monkeypatch):
+    _break_s_extension(monkeypatch)
+    _, rows = run_chain_suite(1, instances=4, dims=(3, 2, 2, 2))
+    assert len(rows) == 17
+    failed = [row for row in rows if not row[1]]
+    assert failed == [
+        (
+            "[close-to-regular criteria] f^{s****t} = f^{t****s}",
+            False,
+            "instance 0: FAIL  f^{s****t} != f^{t****s} at index [0, 0, 0, 0]: 8 vs 7",
+        ),
+        (
+            "[limit interchange] f^{****} = f^{s****t}",
+            False,
+            "instance 0: FAIL  f^{****} != f^{s****t} at index [0, 0, 0, 0]: -5 vs -4",
+        ),
+    ]
+    assert all(detail == "4/4 instances" for _, ok, detail in rows if ok)
+
+
 def test_chain_suite_folds_each_word_once(monkeypatch):
     calls = []
     real = semantics.axis_semantics

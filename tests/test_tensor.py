@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -31,6 +32,7 @@ from arenscalc.tensor import (
     realizer,
     save_map,
     slice_slot,
+    stack,
     to_dict,
     vector,
     zero_vector,
@@ -676,3 +678,67 @@ def test_permutation_plan_reused_across_maps_of_one_shape():
             assert got.entry(tuple(idx[a] for a in axes)) == m.entry(idx)
     info = tensor_module._plan.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# stacks: n maps of one shape, realized and compared at once
+
+
+def _unstacked(m):
+    """The maps of a stack, one by one."""
+    size = len(m.entries) // m.instances
+    return [
+        dataclasses.replace(m, entries=m.entries[k * size:(k + 1) * size], instances=1)
+        for k in range(m.instances)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_stack_realizes_and_compares_as_each_map_alone(data):
+    arity = data.draw(st.integers(1, 3))
+    letters = WORD_ALPHABET[arity]
+    dims = data.draw(st.lists(st.integers(1, 3), min_size=arity + 1, max_size=arity + 1))
+    # every map reached by one prefix word, so all carry one set of starred labels
+    prefix = data.draw(st.text(letters, max_size=3))
+    maps = [
+        _fold(prefix, random_map(arity, dims[1:], dims[0], seed=data.draw(st.integers(0, 1 << 30))))
+        for _ in range(data.draw(st.integers(1, 4), label="instances"))
+    ]
+    word = ExprAst("f", tuple(data.draw(st.text(letters, max_size=8))))
+    left = realize(word, stack(maps))
+    singles = [realize(word, m) for m in maps]
+    assert left.instances == len(maps)
+    assert _unstacked(left) == singles
+    # the right side: the same maps with their axes in another order, and
+    # sometimes one entry of one instance perturbed
+    axes = tuple(data.draw(st.permutations(range(arity + 1))))
+    right = tensor_module.transpose(left, axes, name="g")
+    entries = list(right.entries)
+    if data.draw(st.booleans()):
+        pos = data.draw(st.integers(0, len(entries) - 1), label="perturbed position")
+        entries[pos] += data.draw(PERTURBATIONS)
+    right = dataclasses.replace(right, entries=tuple(entries))
+    each = [equal(a, b) for a, b in zip(singles, _unstacked(right))]
+    got = equal(left, right)
+    # a failing stack reports what its first failing instance reports alone
+    assert got == next((rep for rep in each if not rep.equal), each[0])
+
+
+def test_a_stack_of_one_is_the_map_itself():
+    f = _fold("*t", random_map(3, (2, 3, 1), 2, seed=74))
+    assert stack([f]) == f
+    word = parse("f^{i****i}")
+    assert realize(word, stack([f])) == realize(word, f)
+    g = dataclasses.replace(f, entries=(f.entries[0] + 1,) + f.entries[1:])
+    assert equal(stack([f]), stack([g])) == equal(f, g)
+
+
+def test_stacks_refuse_mixed_shapes_and_counts():
+    f, g = random_map(2, (2, 2), 2, seed=75), random_map(2, (2, 3), 2, seed=76)
+    with pytest.raises(ShapeMismatch, match="differ in shape or labels"):
+        stack([f, g])
+    with pytest.raises(ShapeMismatch, match="differ in shape or labels"):
+        stack([f, adjoint(adjoint(f))])
+    with pytest.raises(ShapeMismatch, match="stacks of 2 vs 1 maps"):
+        equal(stack([f, f]), f)
