@@ -206,9 +206,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     except (
         ExprError, DimensionMismatch, ShapeMismatch, InvalidAlgebra, InvalidCayleyTable,
-        OSError, KeyError, ValueError, TypeError, RuntimeError,
+        OSError, KeyError, ValueError, TypeError, RuntimeError, MemoryError,
     ) as exc:
-        # ValueError covers malformed JSON, RuntimeError the RecursionError of deep JSON nesting
+        # malformed JSON raises ValueError, deep nesting RecursionError, a huge input MemoryError
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

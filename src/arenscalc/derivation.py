@@ -42,6 +42,7 @@ from .semantics import ARENS_FLIPS
 from .tensor import (
     MultiMap,
     ShapeMismatch,
+    _checked,
     _first_mismatch_block,
     basis_vector,
     compose_into_slot,
@@ -145,7 +146,7 @@ def _family(cand: TriDerivationCandidate, side: str):
     def build(anchor, name):
         if anchor is None:
             m = transpose(composed, (1,) + tuple(a + (a > 0) for a in axes))
-            return MultiMap(name, 3, m.shape[2:], m.shape[1], labels, m.entries, m.shape[0])
+            return _checked(name, m.shape[2:], m.shape[1], labels, m.entries, m.shape[0])
         return transpose(slice_slot(composed, 1, anchor), axes, name=name, labels=labels)
 
     return build

@@ -14,15 +14,19 @@ the axis currently sits at odd dual level; comparisons align axes by label
 so that two realizations are compared slot-order blind.
 
 ``_permute`` reorders axes by one gather through flat offsets, cached per
-(shape, axis order); ``_contract_last`` contracts the fastest axis with a
-vector in ints over one common denominator, building the exact
-``Fraction``s once at the end, small integers from one bounded cache.  A
-word is realized as one permutation: ``realizer`` folds it once, through
-``semantics.axis_semantics``, into an axis order and dual levels, applied
-to a base map by one ``transpose``.  ``prepared(word, arity)`` is one
-bounded table of realizers for the package's own words, each folded once
-per process; ``realize`` folds on every call, for words from outside, never
-kept.  ``adjoint`` and ``flip`` are the step-by-step test oracle.
+(shape, axis order).  A word is realized as one permutation: ``realizer``
+folds it once, through ``semantics.axis_semantics``, into an axis order and
+dual levels, applied to a base map by one ``transpose``.
+``prepared(word, arity)`` is one bounded table of realizers for the
+package's own words, each folded once per process; ``realize`` folds on
+every call, for words from outside, never kept.  ``adjoint`` and ``flip``
+are the step-by-step test oracle.
+
+Every map has an integer lane ``(ints, den)``, its entries over one common
+denominator in lowest terms, read once and kept; the contractions read
+lanes.  A map built from maps already checked (a transpose, composition or
+slice) skips validation and keeps the lane its kernel holds; a transpose
+carries one only from a source that has one.
 
 A stack is n maps of one shape laid end to end, with a leading instance
 axis; a single map is a stack of one.  ``transpose``, so every realizer,
@@ -30,9 +34,8 @@ moves the axes of all instances in one gather, and ``equal`` compares two
 stacks in one tuple comparison, mostly of shared objects, and scans for the
 first mismatch, indexed within its instance, only if that fails.  A caller
 whose stack fails checks its maps again one by one, so a witness is a
-single map's.  ``_first_mismatch_block`` checks an identity between sums of
-composed maps in ints, codomain last, naming the first differing block as a
-lexicographic witness.
+single map's.  What reads one map (``evaluate``, a slice or composition,
+``entry``, ``to_dict``) refuses a stack.
 
 All entries are ``fractions.Fraction`` and all checks are exact; a float
 read from a map file is its exact binary value.
@@ -48,7 +51,7 @@ from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, compress, count, islice, product
 from math import lcm, prod
 from operator import add, ne
@@ -82,9 +85,7 @@ def basis_vector(dim: int, k: int) -> tuple[Fraction, ...]:
 def pair(functional: Sequence[Fraction], arg: Sequence[Fraction]) -> Fraction:
     """Dot-product pairing of a functional against a vector."""
     if len(functional) != len(arg):
-        raise DimensionMismatch(
-            f"pairing dims differ: {len(functional)} vs {len(arg)}"
-        )
+        raise DimensionMismatch(f"pairing dims differ: {len(functional)} vs {len(arg)}")
     return sum((a * b for a, b in zip(functional, arg)), Fraction(0))
 
 
@@ -104,9 +105,7 @@ class MultiMap:
 
     def __post_init__(self):
         if self.arity < 1 or len(self.input_dims) != self.arity:
-            raise ShapeMismatch(
-                f"{self.name}: arity {self.arity} vs input dims {self.input_dims}"
-            )
+            raise ShapeMismatch(f"{self.name}: arity {self.arity} vs input dims {self.input_dims}")
         shape = self.shape
         if min(shape) < 1:
             raise ShapeMismatch(f"{self.name}: dims must be positive: {shape}")
@@ -115,21 +114,45 @@ class MultiMap:
         if len(set(self.axis_labels)) != len(self.axis_labels):
             raise ShapeMismatch(f"{self.name}: axis labels must be unique")
         if len(self.entries) != self.instances * prod(shape):
-            raise ShapeMismatch(
-                f"{self.name}: {len(self.entries)} entries for shape {shape}"
-            )
+            raise ShapeMismatch(f"{self.name}: {len(self.entries)} entries for shape {shape}")
 
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.codomain_dim,) + self.input_dims
 
+    @cached_property
+    def lane(self) -> tuple[Sequence[int], int]:
+        """Ints n and one denominator D with entries[i] == n[i] / D, read once."""
+        return _integers(self.entries)
+
     def entry(self, index: tuple[int, ...]) -> Fraction:
         flat = 0
-        for size, i in zip(self.shape, index):
+        for size, i in zip(_single(self).shape, index):
             if not 0 <= i < size:
                 raise DimensionMismatch(f"index {index} out of range for {self.shape}")
             flat = flat * size + i
         return self.entries[flat]
+
+
+def _checked(name, input_dims, codomain_dim, axis_labels, entries, instances=1, lane=None):
+    """A map built from checked maps, not validated again, holding ``lane``
+    if given; with ``entries`` None, read off a lane kept only at den 1."""
+    if entries is None:
+        entries = tuple(_fractions(*lane))
+        lane = lane if lane[1] == 1 else None
+    m = object.__new__(MultiMap)
+    vars(m).update(name=name, arity=len(input_dims), input_dims=input_dims,
+                   codomain_dim=codomain_dim, axis_labels=axis_labels, entries=entries,
+                   instances=instances)
+    if lane is not None:
+        vars(m)["lane"] = lane
+    return m
+
+
+def _single(m: MultiMap) -> MultiMap:
+    if m.instances != 1:
+        raise ShapeMismatch(f"{m.name}: a stack of {m.instances} maps, where one map is needed")
+    return m
 
 
 def from_function(name, input_dims, codomain_dim, fn) -> MultiMap:
@@ -203,24 +226,30 @@ def _contract_last(ints, x) -> list[int]:
 
 
 def _slot_last(m: MultiMap, axis: int) -> tuple:
-    """Entries of ``m`` with ``axis`` (0 = codomain) moved to the fastest
+    """The lane of ``m`` with ``axis`` (0 = codomain) moved to the fastest
     position, ready for ``_contract_last``."""
+    ints, den = _single(m).lane
     rest = tuple(a for a in range(m.arity + 1) if a != axis)
-    return _permute(m.entries, m.shape, rest + (axis,))
+    return _permute(ints, m.shape, rest + (axis,)), den
 
 
 def transpose(m: MultiMap, new_axes, name=None, labels=None) -> MultiMap:
     """Reorder all axes (codomain included); new axis b draws old axis
     new_axes[b].  Axis 0 of the result is its codomain.  The result's
-    labels default to the moved labels of ``m``."""
+    labels default to the moved labels of ``m``.  The result holds a lane
+    only if ``m`` does."""
     if sorted(new_axes) != list(range(m.arity + 1)):
         raise ShapeMismatch(f"bad axis order {new_axes} for arity {m.arity}")
     new_shape = tuple(map(m.shape.__getitem__, new_axes))
     if labels is None:
         labels = tuple(m.axis_labels[a] for a in new_axes)
-    return MultiMap(
-        name if name is not None else m.name, m.arity, new_shape[1:], new_shape[0],
-        labels, _permute(m.entries, m.shape, new_axes, m.instances), m.instances,
+    elif len(set(labels)) != m.arity + 1:
+        raise ShapeMismatch(f"need {m.arity + 1} unique axis labels, got {labels}")
+    if (lane := vars(m).get("lane")) is not None:
+        lane = (_permute(lane[0], m.shape, new_axes, m.instances), lane[1])
+    return _checked(
+        name if name is not None else m.name, new_shape[1:], new_shape[0], labels,
+        _permute(m.entries, m.shape, new_axes, m.instances), m.instances, lane,
     )
 
 
@@ -243,14 +272,9 @@ def evaluate(m: MultiMap, args) -> tuple[Fraction, ...]:
     """Apply the map to one vector per input slot: contract the last slot
     first and work back to slot 1."""
     args = list(args)
-    if len(args) != m.arity:
-        raise DimensionMismatch(f"{m.name}: expected {m.arity} arguments")
-    for d, v in zip(m.input_dims, args):
-        if len(v) != d:
-            raise DimensionMismatch(
-                f"{m.name}: argument dims {list(map(len, args))} vs {m.input_dims}"
-            )
-    vals, den = _integers(m.entries)
+    vals, den = _single(m).lane
+    if tuple(map(len, args)) != m.input_dims:
+        raise DimensionMismatch(f"{m.name}: argument dims {list(map(len, args))} vs {m.input_dims}")
     for v in reversed(args):
         xs, e = _integers(v)
         vals, den = _contract_last(vals, xs), den * e
@@ -369,7 +393,7 @@ def _first_mismatch_block(inputs: str, lhs, rhs) -> tuple[int, ...] | None:
         for m, names in terms:
             axes = tuple(1 + names.index(v) for v in inputs) + (0,)
             shapes.add(tuple(m.shape[a] for a in axes))
-            side.append(_integers(_permute(m.entries, m.shape, axes)))
+            side.append((_permute(m.lane[0], m.shape, axes), m.lane[1]))
     if len(shapes) != 1:
         raise ShapeMismatch(f"terms of one identity disagree in shape: {sorted(shapes)}")
     (shape,) = shapes
@@ -419,9 +443,9 @@ def compose_into_slot(outer: MultiMap, inner: MultiMap, slot: int, name=None) ->
         )
     # outer with the slot axis last, inner with its codomain last; one
     # contraction per inner input index b gives the block (b; l, pre, post)
-    moved, den = _integers(_slot_last(outer, slot))
+    moved, den = _slot_last(outer, slot)
     mid = inner.codomain_dim
-    rows, e = _integers(_slot_last(inner, 0))
+    rows, e = _slot_last(inner, 0)
     blocks = []
     for r in range(0, len(rows), mid):
         blocks += _contract_last(moved, rows[r:r + mid])
@@ -429,11 +453,11 @@ def compose_into_slot(outer: MultiMap, inner: MultiMap, slot: int, name=None) ->
     pre, post = outer.input_dims[: slot - 1], outer.input_dims[slot:]
     shape = (len(rows) // mid, outer.codomain_dim) + pre + post
     order = tuple(range(1, slot + 1)) + (0,) + tuple(range(slot + 1, len(shape)))
-    entries = _permute(_fractions(blocks, den * e), shape, order)
     dims = pre + inner.input_dims + post
-    return MultiMap(
+    return _checked(
         name if name is not None else f"{outer.name}.{inner.name}.s{slot}",
-        len(dims), dims, outer.codomain_dim, default_labels(len(dims)), entries,
+        dims, outer.codomain_dim, default_labels(len(dims)), None,
+        lane=(_permute(blocks, shape, order), den * e),
     )
 
 
@@ -441,13 +465,9 @@ def compose_codomain(post: MultiMap, m: MultiMap) -> MultiMap:
     """Apply a linear map to the output of ``m``; keeps ``m``'s labels."""
     if post.arity != 1:
         raise ShapeMismatch(f"{post.name}: codomain composition needs a linear map")
-    if post.input_dims[0] != m.codomain_dim:
-        raise DimensionMismatch(
-            f"{post.name} expects dim {post.input_dims[0]}, "
-            f"{m.name} lands in dim {m.codomain_dim}"
-        )
-    composed = compose_into_slot(post, m, 1)
-    return replace(composed, name=f"{post.name}.{m.name}", axis_labels=m.axis_labels)
+    c = compose_into_slot(post, m, 1)
+    return _checked(f"{post.name}.{m.name}", c.input_dims, c.codomain_dim, m.axis_labels,
+                    c.entries, lane=vars(c).get("lane"))
 
 
 def slice_slot(m: MultiMap, slot: int, vec: Sequence[Fraction]) -> MultiMap:
@@ -461,11 +481,10 @@ def slice_slot(m: MultiMap, slot: int, vec: Sequence[Fraction]) -> MultiMap:
             f"slot {slot} of {m.name} has dim {m.input_dims[slot - 1]}, vector {len(vec)}"
         )
     dims = m.input_dims[: slot - 1] + m.input_dims[slot:]
-    (ints, den), (xs, e) = _integers(_slot_last(m, slot)), _integers(vec)
-    return MultiMap(
-        f"{m.name}|s{slot}", m.arity - 1, dims, m.codomain_dim,
-        m.axis_labels[:slot] + m.axis_labels[slot + 1:],
-        tuple(_fractions(_contract_last(ints, xs), den * e)),
+    (ints, den), (xs, e) = _slot_last(m, slot), _integers(vec)
+    return _checked(
+        f"{m.name}|s{slot}", dims, m.codomain_dim, m.axis_labels[:slot] + m.axis_labels[slot + 1:],
+        None, lane=(_contract_last(ints, xs), den * e),
     )
 
 
@@ -475,7 +494,7 @@ def slice_slot(m: MultiMap, slot: int, vec: Sequence[Fraction]) -> MultiMap:
 
 def to_dict(m: MultiMap) -> dict:
     return {
-        "name": m.name,
+        "name": _single(m).name,
         "arity": m.arity,
         "input_dims": list(m.input_dims),
         "codomain_dim": m.codomain_dim,

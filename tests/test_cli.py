@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from arenscalc import suites, tensor
+from arenscalc import cli, suites, tensor
 from arenscalc.cli import main
 from arenscalc.tensor import MultiMap, default_labels, random_map, save_map, to_dict
 
@@ -186,6 +186,15 @@ def test_check_map_refuses_anything_but_a_regular_file_unread(tmp_path, kind):
     )
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"error: OSError: map file {path} is not a regular file"]
+
+
+def test_memory_error_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(path):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "load_map", exhausted)
+    assert main(["check", "f", "f", "--map", str(tmp_path / "m.json")]) == 2
+    _one_error_line(capsys, "error: MemoryError")
 
 
 def test_check_map_reads_at_most_the_byte_cap(tmp_path, capsys, monkeypatch):

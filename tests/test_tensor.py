@@ -371,6 +371,7 @@ def test_expr_ast_base_name_is_notational():
 WORD_ALPHABET = {1: "*", 2: "*r", 3: "*ijrts", 4: "*"}
 FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 INTEGERS = st.builds(Fraction, st.integers(-9, 9))
+ZEROS = st.just(Fraction(0))
 
 
 def _fold(word, base):
@@ -397,8 +398,8 @@ def _draw_map(data, arity, codomain_dim=None):
     dims = data.draw(st.lists(st.integers(1, 3), min_size=arity + 1, max_size=arity + 1))
     if codomain_dim is not None:
         dims[0] = codomain_dim
-    # integer-only maps as well as maps with mixed denominators
-    kind = data.draw(st.sampled_from((FRACTIONS, INTEGERS)), label="entry kind")
+    # integer-only maps, maps with mixed denominators, and all-zero maps
+    kind = data.draw(st.sampled_from((FRACTIONS, INTEGERS, ZEROS)), label="entry kind")
     values = iter(data.draw(st.lists(kind, min_size=prod(dims), max_size=prod(dims))))
     return from_function("f", dims[1:], dims[0], lambda *_: next(values))
 
@@ -742,3 +743,91 @@ def test_stacks_refuse_mixed_shapes_and_counts():
         stack([f, adjoint(adjoint(f))])
     with pytest.raises(ShapeMismatch, match="stacks of 2 vs 1 maps"):
         equal(stack([f, f]), f)
+
+
+def test_single_map_readers_refuse_stacks():
+    f = random_map(2, (2, 2), 2, seed=77)
+    fs = stack([f, f])
+    e = basis_vector(2, 0)
+    calls = {
+        "evaluate": lambda: evaluate(fs, (e, e)),
+        "slice_slot": lambda: slice_slot(fs, 1, e),
+        "compose_into_slot outer": lambda: compose_into_slot(fs, f, 1),
+        "compose_into_slot inner": lambda: compose_into_slot(f, fs, 2),
+        "compose_codomain": lambda: compose_codomain(random_map(1, (2,), 3, seed=78), fs),
+        "entry": lambda: fs.entry((0, 0, 0)),
+        "to_dict": lambda: to_dict(fs),
+    }
+    for what, call in calls.items():
+        with pytest.raises(ShapeMismatch, match="a stack of 2 maps, where one map is needed"):
+            call()
+            pytest.fail(what)
+    # a stack of one is one map
+    assert evaluate(stack([f]), (e, e)) == evaluate(f, (e, e))
+    assert to_dict(stack([f])) == to_dict(f)
+
+
+# ---------------------------------------------------------------------------
+# the integer lane
+
+
+def _check_lane(m, held):
+    """The lane ``m`` holds, if any, is the one its entries give; ``held``
+    says that it must hold one."""
+    lane = vars(m).get("lane")
+    assert lane is not None or not held
+    ints, den = m.lane
+    assert (list(ints), den) == tensor_module._integers(m.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_held_lane_is_the_one_the_entries_give(data):
+    outer = _draw_map(data, data.draw(st.integers(1, 3)))
+    slot = data.draw(st.integers(1, outer.arity))
+    inner = _draw_map(data, data.draw(st.integers(1, 2)), outer.input_dims[slot - 1])
+    integral = outer.lane[1] == inner.lane[1] == 1
+    _check_lane(compose_into_slot(outer, inner, slot), held=integral)
+    post = _draw_map(data, 1, data.draw(st.integers(1, 3)))
+    m = _draw_map(data, data.draw(st.integers(1, 3)), post.input_dims[0])
+    _check_lane(compose_codomain(post, m), held=post.lane[1] == m.lane[1] == 1)
+    if outer.arity > 1:
+        v = _draw_vector(data, outer.input_dims[slot - 1])
+        _check_lane(slice_slot(outer, slot, v), held=outer.lane[1] == 1 and all(
+            x.denominator == 1 for x in v))
+    # a transpose holds a lane exactly when its source does, a stack included
+    axes = tuple(data.draw(st.permutations(range(outer.arity + 1))))
+    fresh = dataclasses.replace(outer, name="g")
+    assert "lane" not in vars(tensor_module.transpose(fresh, axes))
+    many = stack([outer, fresh])
+    _check_lane(many, held=False)  # reads the stack's lane, which it then holds
+    for source in (outer, many):
+        _check_lane(tensor_module.transpose(source, axes), held=True)
+
+
+def test_replaced_entries_get_a_fresh_lane():
+    f = random_map(2, (2, 3), 2, seed=79)
+    args = (vector([1, 2]), vector([1, 0, -1]))
+    before = evaluate(f, args)
+    assert "lane" in vars(f)
+    # as the benchmark builds a perturbed map from one whose lane was read
+    g = dataclasses.replace(f, entries=(f.entries[0] + Fraction(1, 2),) + f.entries[1:])
+    assert "lane" not in vars(g)
+    assert g.lane == tensor_module._integers(g.entries) and g.lane[1] == 2
+    assert evaluate(g, args) == tuple(_evaluate_by_index(g, args))
+    assert evaluate(g, args)[0] == before[0] + Fraction(1, 2)
+    assert evaluate(f, args) == before
+
+
+def test_a_checked_map_equals_the_validated_one():
+    f = _fold("*t", random_map(3, (2, 1, 3), 2, seed=80))
+    fields = [k.name for k in dataclasses.fields(MultiMap)]
+    for m in (
+        tensor_module._checked(f.name, f.input_dims, f.codomain_dim, f.axis_labels, f.entries),
+        tensor_module._checked("s", f.input_dims, f.codomain_dim, f.axis_labels, f.entries * 2, 2),
+        compose_into_slot(f, random_map(1, (2,), f.input_dims[0], seed=81), 1),
+        slice_slot(f, 3, vector(range(f.input_dims[2]))),
+    ):
+        validated = MultiMap(**{k: getattr(m, k) for k in fields})
+        assert m == validated and validated == m
+        assert hash(m) == hash(validated) and repr(m) == repr(validated)
