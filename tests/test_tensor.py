@@ -793,8 +793,8 @@ def test_every_held_lane_is_the_one_the_entries_give(data):
     _check_lane(compose_codomain(post, m), held=post.lane[1] == m.lane[1] == 1)
     if outer.arity > 1:
         v = _draw_vector(data, outer.input_dims[slot - 1])
-        _check_lane(slice_slot(outer, slot, v), held=outer.lane[1] == 1 and all(
-            x.denominator == 1 for x in v))
+        held = outer.lane[1] == 1 and all(x.denominator == 1 for x in v)
+        _check_lane(slice_slot(outer, slot, v), held)
     # a transpose holds a lane exactly when its source does, a stack included
     axes = tuple(data.draw(st.permutations(range(outer.arity + 1))))
     fresh = dataclasses.replace(outer, name="g")
