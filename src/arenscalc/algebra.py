@@ -397,9 +397,11 @@ def nested_bilinear_check(
             f"candidate {candidate.shape} does not match {f.shape}"
         )
     for x in sample_grid(f.input_dims[0]):
+        # sliced at x once: by multilinearity the same values at every y
+        fx, inner_x, cand_x = (slice_slot(m, 1, x) for m in (f, inner, candidate))
         for y in sample_grid(f.input_dims[1]):
-            want = evaluate(f, [x, y, evaluate(inner, [x, y])])
-            got = evaluate(candidate, [x, y])
+            want = evaluate(fx, [y, evaluate(inner_x, [y])])
+            got = evaluate(cand_x, [y])
             if got != want:
                 raise ConstraintViolated(
                     f"candidate disagrees at x={tuple(map(str, x))}, "

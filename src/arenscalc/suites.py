@@ -18,6 +18,7 @@ mismatch in millions of entries marks a bookkeeping bug.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from itertools import product
 
 from .algebra import (
@@ -138,12 +139,14 @@ def _disagree(maps) -> str:
     return ""
 
 
-def _failures(maps: list[MultiMap], check) -> list[tuple[int, str]]:
-    """``(k, check(maps[k]))`` for each failing map, where ``check`` gives "" on a
-    pass: of one shape, as one stack, and one by one only if that fails."""
-    if len({m.shape for m in maps}) == 1 and not check(stack(maps)):
+def _failures(check, *roles: Sequence[MultiMap]) -> list:
+    """``(k, check(*instance k of every role))`` for each failing instance,
+    where ``check`` takes one map per role and gives something false on a
+    pass: as one stack per role when each role's maps share a shape, and
+    instance by instance only if that fails."""
+    if {len({m.shape for m in maps}) for maps in roles} == {1} and not check(*map(stack, roles)):
         return []
-    return [(k, bad) for k, m in enumerate(maps) if (bad := check(m))]
+    return [(k, bad) for k, ms in enumerate(zip(*roles)) if (bad := check(*ms))]
 
 
 def run_limit_order_goldens() -> Section:
@@ -169,7 +172,7 @@ def run_symbolic_suite() -> Section:
 def run_extension_sweep(seed: int, trials: int = 100, dims: Dims = None) -> Section:
     rng = random.Random(seed)
     maps = [_rand_tri(rng, dims) for _ in range(trials)]
-    failures = _failures(maps, lambda f: _disagree(extensions(f, EXTENSION_FLIPS).values()))
+    failures = _failures(lambda f: _disagree(extensions(f, EXTENSION_FLIPS).values()), maps)
     detail = f"{trials - len(failures)}/{trials} trials"
     if failures:
         detail += "; first failure: trial %d: %s" % failures[0]
@@ -185,15 +188,13 @@ def run_chain_suite(seed: int, instances: int = 25, dims: Dims = None) -> Sectio
         for lhs_text, rhs_text in pairs:
             lhs, rhs = prepared(lhs_text, 3), prepared(rhs_text, 3)
             maps = [_rand_tri(rng, dims) for _ in range(instances)]
-            bad = _failures(maps, lambda f: _disagree((lhs(f), rhs(f))))
+            bad = _failures(lambda f: _disagree((lhs(f), rhs(f))), maps)
             detail = "instance %d: %s" % bad[0] if bad else f"{instances}/{instances} instances"
             rows.append((f"[{group}] {lhs_text} = {rhs_text}", not bad, detail))
     return "Proof-chain identities", tuple(rows)
 
 
-def run_factorization_suite(
-    seed: int, instances: int = 25, dims: Dims = None
-) -> Section:
+def run_factorization_suite(seed: int, instances: int = 25, dims: Dims = None) -> Section:
     rng = random.Random(seed)
     labels = (
         "single-sided factor identity",
@@ -208,31 +209,34 @@ def run_factorization_suite(
     t5, t4s, a5, a6 = (prepared(word, 3) for word in words)
     h3 = prepared("h^{***}", 1)
 
-    def results():
-        for _ in range(instances):
-            dx, dy, dz, dw, ds = _pick_dims(rng, 5, dims)
-            g = random_map(3, (dx, ds, dz), dw, seed=rng.randrange(1 << 30), name="g")
-            h = random_map(1, (dy,), ds, seed=rng.randrange(1 << 30), name="h")
-            f = compose_into_slot(g, h, 2, name="f")
-            yield "single-sided factor identity", equal(t5(f), compose_codomain(h3(h), t5(g)))
-            yield "single-sided pointwise form", equal(t4s(f), compose_into_slot(t4s(g), h, 2))
+    def draw():
+        dx, dy, dz, dw, ds = _pick_dims(rng, 5, dims)
+        return (
+            random_map(3, (dx, ds, dz), dw, seed=rng.randrange(1 << 30), name="g"),
+            random_map(1, (dy,), ds, seed=rng.randrange(1 << 30), name="h"),
+            random_map(3, (dx, ds, ds), dw, seed=rng.randrange(1 << 30), name="c"),
+            random_map(1, (dy,), ds, seed=rng.randrange(1 << 30), name="h1"),
+            random_map(1, (dz,), ds, seed=rng.randrange(1 << 30), name="h2"),
+        )
 
-            core = random_map(3, (dx, ds, ds), dw, seed=rng.randrange(1 << 30), name="c")
-            h1 = random_map(1, (dy,), ds, seed=rng.randrange(1 << 30), name="h1")
-            h2 = random_map(1, (dz,), ds, seed=rng.randrange(1 << 30), name="h2")
-            gg = compose_into_slot(core, h2, 3, name="g")
-            kk = compose_into_slot(core, h1, 2, name="K")
-            f2 = compose_into_slot(gg, h1, 2, name="f")
-            f2b = compose_into_slot(kk, h2, 3, name="f")
-            yield "two-sided construction consistency", equal(f2, f2b)
-            yield "two-sided first identity", equal(a5(f2), compose_codomain(h3(h2), a5(kk)))
-            yield "two-sided second identity", equal(a6(f2), compose_codomain(h3(h1), a6(gg)))
+    def check(g, h, core, h1, h2):
+        """The failing ``(label, False, detail)`` results of one instance or stack."""
+        f = compose_into_slot(g, h, 2, name="f")
+        gg = compose_into_slot(core, h2, 3, name="g")
+        kk = compose_into_slot(core, h1, 2, name="K")
+        f2 = compose_into_slot(gg, h1, 2, name="f")
+        reps = zip(labels, (
+            equal(t5(f), compose_codomain(h3(h), t5(g))),
+            equal(t4s(f), compose_into_slot(t4s(g), h, 2)),
+            equal(a5(f2), compose_codomain(h3(h2), a5(kk))),
+            equal(a6(f2), compose_codomain(h3(h1), a6(gg))),
+            equal(f2, compose_into_slot(kk, h2, 3, name="f")),
+        ))
+        return [(label, False, rep.render()) for label, rep in reps if not rep.equal]
 
-    rows = tally_rows(
-        ((label, rep.equal, rep.render()) for label, rep in results()),
-        f"{instances}/{instances} instances",
-        labels,
-    )
+    failures = _failures(check, *zip(*(draw() for _ in range(instances))))
+    results = (result for _, bad in failures for result in bad)
+    rows = tally_rows(results, f"{instances}/{instances} instances", labels)
     return "Factorization through a linear map", tuple(rows)
 
 

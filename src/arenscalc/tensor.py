@@ -32,10 +32,11 @@ A stack is n maps of one shape laid end to end, with a leading instance
 axis; a single map is a stack of one.  ``transpose``, so every realizer,
 moves the axes of all instances in one gather, and ``equal`` compares two
 stacks in one tuple comparison, mostly of shared objects, and scans for the
-first mismatch, indexed within its instance, only if that fails.  A caller
-whose stack fails checks its maps again one by one, so a witness is a
-single map's.  What reads one map (``evaluate``, a slice or composition,
-``entry``, ``to_dict``) refuses a stack.
+first mismatch, indexed within its instance, only if that fails.  Two
+stacks of one count compose instance by instance.  A caller whose stack
+fails checks its maps again one by one, so a witness is a single map's.
+What reads one map (``evaluate``, a slice, ``entry``, ``to_dict``)
+refuses a stack.
 
 All entries are ``fractions.Fraction`` and all checks are exact; a float
 read from a map file is its exact binary value.
@@ -227,10 +228,10 @@ def _contract_last(ints, x) -> list[int]:
 
 def _slot_last(m: MultiMap, axis: int) -> tuple:
     """The lane of ``m`` with ``axis`` (0 = codomain) moved to the fastest
-    position, ready for ``_contract_last``."""
-    ints, den = _single(m).lane
+    position in every instance, ready for ``_contract_last``."""
+    ints, den = m.lane
     rest = tuple(a for a in range(m.arity + 1) if a != axis)
-    return _permute(ints, m.shape, rest + (axis,)), den
+    return _permute(ints, m.shape, rest + (axis,), m.instances), den
 
 
 def transpose(m: MultiMap, new_axes, name=None, labels=None) -> MultiMap:
@@ -433,6 +434,7 @@ def compose_into_slot(outer: MultiMap, inner: MultiMap, slot: int, name=None) ->
 
     The result is a fresh base map of arity outer.arity - 1 + inner.arity
     with default axis labels; inner's inputs take over the slot position.
+    Two stacks of n maps compose instance by instance into a stack of n.
     """
     if not 1 <= slot <= outer.arity:
         raise ShapeMismatch(f"slot {slot} out of range for arity {outer.arity}")
@@ -441,23 +443,29 @@ def compose_into_slot(outer: MultiMap, inner: MultiMap, slot: int, name=None) ->
             f"slot {slot} of {outer.name} has dim {outer.input_dims[slot - 1]}, "
             f"but {inner.name} lands in dim {inner.codomain_dim}"
         )
-    # outer with the slot axis last, inner with its codomain last; one
-    # contraction per inner input index b gives the block (b; l, pre, post)
+    if (n := outer.instances) != inner.instances:
+        raise ShapeMismatch(f"stacks of {n} vs {inner.instances} maps")
+    # outer with the slot axis last, inner with its codomain last; per
+    # instance, one contraction per inner input index b gives the block
+    # (b; l, pre, post)
     moved, den = _slot_last(outer, slot)
     mid = inner.codomain_dim
     rows, e = _slot_last(inner, 0)
+    size, step = len(moved) // n, len(rows) // n
     blocks = []
-    for r in range(0, len(rows), mid):
-        blocks += _contract_last(moved, rows[r:r + mid])
+    for k in range(n):
+        part = moved[k * size:(k + 1) * size]
+        for r in range(k * step, (k + 1) * step, mid):
+            blocks += _contract_last(part, rows[r:r + mid])
     # axes (b, l, pre..., post...) -> (l, pre..., b, post...), b flattened
     pre, post = outer.input_dims[: slot - 1], outer.input_dims[slot:]
-    shape = (len(rows) // mid, outer.codomain_dim) + pre + post
+    shape = (step // mid, outer.codomain_dim) + pre + post
     order = tuple(range(1, slot + 1)) + (0,) + tuple(range(slot + 1, len(shape)))
     dims = pre + inner.input_dims + post
     return _checked(
         name if name is not None else f"{outer.name}.{inner.name}.s{slot}",
-        dims, outer.codomain_dim, default_labels(len(dims)), None,
-        lane=(_permute(blocks, shape, order), den * e),
+        dims, outer.codomain_dim, default_labels(len(dims)), None, n,
+        lane=(_permute(blocks, shape, order, n), den * e),
     )
 
 
@@ -467,7 +475,7 @@ def compose_codomain(post: MultiMap, m: MultiMap) -> MultiMap:
         raise ShapeMismatch(f"{post.name}: codomain composition needs a linear map")
     c = compose_into_slot(post, m, 1)
     return _checked(f"{post.name}.{m.name}", c.input_dims, c.codomain_dim, m.axis_labels,
-                    c.entries, lane=vars(c).get("lane"))
+                    c.entries, c.instances, vars(c).get("lane"))
 
 
 def slice_slot(m: MultiMap, slot: int, vec: Sequence[Fraction]) -> MultiMap:
@@ -481,7 +489,7 @@ def slice_slot(m: MultiMap, slot: int, vec: Sequence[Fraction]) -> MultiMap:
             f"slot {slot} of {m.name} has dim {m.input_dims[slot - 1]}, vector {len(vec)}"
         )
     dims = m.input_dims[: slot - 1] + m.input_dims[slot:]
-    (ints, den), (xs, e) = _slot_last(m, slot), _integers(vec)
+    (ints, den), (xs, e) = _slot_last(_single(m), slot), _integers(vec)
     return _checked(
         f"{m.name}|s{slot}", dims, m.codomain_dim, m.axis_labels[:slot] + m.axis_labels[slot + 1:],
         None, lane=(_contract_last(ints, xs), den * e),

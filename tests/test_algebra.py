@@ -359,6 +359,28 @@ def test_nested_scalar_constant_rejected():
     assert exc_info.value.point is not None
 
 
+def test_nested_check_fails_where_the_pointwise_scan_does():
+    # x and y of different dims, so a slice at the wrong slot cannot pass
+    f = random_map(3, (2, 3, 2), 2, seed=5, name="f")
+    inner = random_map(2, (2, 3), 2, seed=6, name="m")
+    cand = random_map(2, (2, 3), 2, seed=7, name="th")
+    x, y, got, want = next(
+        (x, y, got, want)
+        for x in sample_grid(2)
+        for y in sample_grid(3)
+        if (got := evaluate(cand, [x, y])) != (want := evaluate(f, [x, y, evaluate(inner, [x, y])]))
+    )
+    with pytest.raises(ConstraintViolated) as exc_info:
+        nested_bilinear_check(f, inner, cand)
+    assert exc_info.value.point == (x, y)
+    assert str(exc_info.value) == (
+        f"candidate disagrees at x={tuple(map(str, x))}, y={tuple(map(str, y))}: "
+        f"{tuple(map(str, got))} vs {tuple(map(str, want))}"
+    )
+    zero = from_function("m", (2, 3), 2, lambda *_: 0)
+    assert len(nested_bilinear_check(f, zero, zero)) == 3
+
+
 def test_nested_shape_mismatch():
     from arenscalc.tensor import DimensionMismatch
 

@@ -14,6 +14,7 @@ from arenscalc.suites import (
     render_report,
     run_chain_suite,
     run_extension_sweep,
+    run_factorization_suite,
     run_group_fixture_suite,
 )
 from arenscalc.tensor import prepared, random_map, realize
@@ -158,6 +159,92 @@ def test_chain_suite_folds_each_word_once(monkeypatch):
     assert all(ok for _, ok, _ in rows)
     words = {word for _, pairs in CHAIN_GROUPS for pair in pairs for word in pair}
     assert len(calls) == len(words)  # once per distinct word, not per side or instance
+
+
+def _break_codomain_compositions(monkeypatch):
+    """Make ``compose_codomain`` wrong, in its entry 0, on every map it
+    composes whose true entry 0 is a multiple of 5, whether that map is
+    composed alone or as one instance of a stack."""
+    real = tensor.compose_codomain
+
+    def broken(post, m):
+        out = real(post, m)
+        size, entries = len(out.entries) // out.instances, list(out.entries)
+        for k in range(0, len(entries), size):
+            if entries[k] % 5 == 0:
+                entries[k] += 1
+        return dataclasses.replace(out, entries=tuple(entries))
+
+    monkeypatch.setattr(suites, "compose_codomain", broken)
+
+
+def test_factorization_failure_details_are_pinned(monkeypatch):
+    _break_codomain_compositions(monkeypatch)
+    _, rows = run_factorization_suite(4, instances=6)
+    assert rows == (
+        (
+            "single-sided factor identity",
+            False,
+            "FAIL  f^{t*****} != h^{***}.g^{t*****} at index [0, 0, 0, 0]: -10 vs -9",
+        ),
+        ("single-sided pointwise form", True, "6/6 instances"),
+        (
+            "two-sided first identity",
+            False,
+            "FAIL  f^{*****} != h2^{***}.K^{*****} at index [0, 0, 0, 0]: -120 vs -119",
+        ),
+        (
+            "two-sided second identity",
+            False,
+            "FAIL  f^{******} != h1^{***}.g^{******} at index [0, 0, 0, 0]: -120 vs -119",
+        ),
+        ("two-sided construction consistency", True, "6/6 instances"),
+    )
+
+
+def test_factorization_failure_details_at_fixed_dims_are_pinned(monkeypatch):
+    _break_codomain_compositions(monkeypatch)
+    # instance 0 passes every identity; the factor identity first fails at
+    # instance 3, the two-sided identities at instance 1
+    _, rows = run_factorization_suite(2, instances=6, dims=(3, 2, 2, 2))
+    assert rows == (
+        (
+            "single-sided factor identity",
+            False,
+            "FAIL  f^{t*****} != h^{***}.g^{t*****} at index [0, 0, 0, 0]: 5 vs 6",
+        ),
+        ("single-sided pointwise form", True, "6/6 instances"),
+        (
+            "two-sided first identity",
+            False,
+            "FAIL  f^{*****} != h2^{***}.K^{*****} at index [0, 0, 0, 0]: 135 vs 136",
+        ),
+        (
+            "two-sided second identity",
+            False,
+            "FAIL  f^{******} != h1^{***}.g^{******} at index [0, 0, 0, 0]: 135 vs 136",
+        ),
+        ("two-sided construction consistency", True, "6/6 instances"),
+    )
+
+
+def test_factorization_suite_composes_once_per_role(monkeypatch):
+    calls = []
+    real = tensor.compose_into_slot
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (suites, tensor):  # compose_codomain composes through tensor's own name
+        monkeypatch.setattr(module, "compose_into_slot", counting)
+    counts = []
+    for instances in (1, 4):
+        calls.clear()
+        _, rows = run_factorization_suite(2, instances=instances, dims=(2, 3, 2, 1))
+        assert all(ok for _, ok, _ in rows)
+        counts.append(len(calls))
+    assert counts == [9, 9]  # six compositions and three through compose_codomain
 
 
 def test_second_full_suite_folds_only_in_classify(monkeypatch):

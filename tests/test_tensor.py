@@ -394,8 +394,11 @@ def _evaluate_by_index(m, args):
     return tuple(coords)
 
 
-def _draw_map(data, arity, codomain_dim=None):
-    dims = data.draw(st.lists(st.integers(1, 3), min_size=arity + 1, max_size=arity + 1))
+def _draw_map(data, arity, codomain_dim=None, shape=None):
+    """A map of ``arity`` with drawn dims, or of the given ``shape``."""
+    if shape is None:
+        shape = data.draw(st.lists(st.integers(1, 3), min_size=arity + 1, max_size=arity + 1))
+    dims = list(shape)
     if codomain_dim is not None:
         dims[0] = codomain_dim
     # integer-only maps, maps with mixed denominators, and all-zero maps
@@ -752,9 +755,6 @@ def test_single_map_readers_refuse_stacks():
     calls = {
         "evaluate": lambda: evaluate(fs, (e, e)),
         "slice_slot": lambda: slice_slot(fs, 1, e),
-        "compose_into_slot outer": lambda: compose_into_slot(fs, f, 1),
-        "compose_into_slot inner": lambda: compose_into_slot(f, fs, 2),
-        "compose_codomain": lambda: compose_codomain(random_map(1, (2,), 3, seed=78), fs),
         "entry": lambda: fs.entry((0, 0, 0)),
         "to_dict": lambda: to_dict(fs),
     }
@@ -765,6 +765,42 @@ def test_single_map_readers_refuse_stacks():
     # a stack of one is one map
     assert evaluate(stack([f]), (e, e)) == evaluate(f, (e, e))
     assert to_dict(stack([f])) == to_dict(f)
+
+
+def _draw_stack(data, first, n):
+    """``first`` and n - 1 more drawn maps of its shape, one by one."""
+    return [first] + [_draw_map(data, first.arity, shape=first.shape) for _ in range(n - 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_stacked_compositions_unstack_into_each_single_one(data):
+    n = data.draw(st.integers(1, 4), label="instances")
+    outer = _draw_map(data, data.draw(st.integers(1, 3)))
+    slot = data.draw(st.integers(1, outer.arity))
+    inner = _draw_map(data, data.draw(st.integers(1, 2)), outer.input_dims[slot - 1])
+    outers, inners = _draw_stack(data, outer, n), _draw_stack(data, inner, n)
+    got = compose_into_slot(stack(outers), stack(inners), slot)
+    assert got.instances == n
+    assert _unstacked(got) == [compose_into_slot(o, i, slot) for o, i in zip(outers, inners)]
+    _check_lane(got, held=all(m.lane[1] == 1 for m in outers + inners))
+    post = _draw_map(data, 1)
+    posts = _draw_stack(data, post, n)
+    maps = _draw_stack(data, _draw_map(data, data.draw(st.integers(1, 3)), post.input_dims[0]), n)
+    got = compose_codomain(stack(posts), stack(maps))
+    assert got.instances == n and got.axis_labels == maps[0].axis_labels
+    assert _unstacked(got) == [compose_codomain(p, m) for p, m in zip(posts, maps)]
+    _check_lane(got, held=all(m.lane[1] == 1 for m in posts + maps))
+
+
+def test_compositions_refuse_stacks_of_different_counts():
+    f, h = random_map(2, (2, 2), 2, seed=77), random_map(1, (2,), 2, seed=78)
+    with pytest.raises(ShapeMismatch, match="stacks of 2 vs 1 maps"):
+        compose_into_slot(stack([f, f]), h, 1)
+    with pytest.raises(ShapeMismatch, match="stacks of 2 vs 3 maps"):
+        compose_into_slot(stack([f, f]), stack([h, h, h]), 2)
+    with pytest.raises(ShapeMismatch, match="stacks of 1 vs 2 maps"):
+        compose_codomain(h, stack([f, f]))
 
 
 # ---------------------------------------------------------------------------
