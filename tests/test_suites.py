@@ -15,6 +15,7 @@ from arenscalc.suites import (
     run_chain_suite,
     run_extension_sweep,
     run_factorization_suite,
+    run_adjoint_pairing,
     run_group_fixture_suite,
 )
 from arenscalc.tensor import prepared, random_map, realize
@@ -284,6 +285,39 @@ def test_group_failure_detail_is_pinned(monkeypatch):
         "FAIL  conv3^{i****i} != conv3^{s****t} at index [0, 0, 0, 0]: 1 vs 2"
     )
     assert rows[0] == ("z2: six extensions coincide", True, "")
+
+
+def _break_adjoint(monkeypatch):
+    """Make the suites' ``f^{*}`` wrong on every map of arity 2 or 3: at
+    arity 2 its entries come out reversed (the right values in the wrong
+    order), at arity 3 its last entry is one too large."""
+
+    def broken(word, arity):
+        fold = prepared(word, arity)
+
+        def apply(m):
+            out = fold(m)
+            if m.arity == 2:
+                return dataclasses.replace(out, entries=out.entries[::-1])
+            if m.arity == 3:
+                return dataclasses.replace(out, entries=out.entries[:-1] + (out.entries[-1] + 1,))
+            return out
+
+        return apply
+
+    monkeypatch.setattr(suites, "prepared", broken)
+
+
+def test_pairing_failure_details_are_pinned(monkeypatch):
+    _break_adjoint(monkeypatch)
+    # at seed 7 the instances of arity 1 are 1, 6, 13, 14 and 16; every
+    # other instance fails, and the detail lists the first five
+    assert run_adjoint_pairing(7, instances=20) == ("Adjoint pairing identity", (
+        ("pairing identity on all basis tuples", False,
+         "5/20 instances; failing instances: 0, 2, 3, 4, 5"),
+    ))
+    _, (row,) = run_adjoint_pairing(7, instances=4, dims=(3, 1, 2, 2))
+    assert row[1:] == (False, "1/4 instances; failing instances: 0, 1, 3")
 
 
 # every word in the operation alphabet realizes to a well-formed tensor
