@@ -22,8 +22,8 @@ them sharp regression tests for the axis bookkeeping.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, permutations, product
 
@@ -65,32 +65,32 @@ class ConstraintViolated(Exception):
 # finite groups
 
 
-@dataclass(frozen=True)
-class CayleyTable:
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    identity: int
+class CayleyTable(namedtuple("CayleyTable", "order table identity")):
+    """A finite group: its order, its multiplication table as a tuple of
+    rows, and the index of its identity; checked when built."""
 
-    def __post_init__(self):
-        n = self.order
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+    __slots__ = ()
+
+    def __new__(cls, order: int, table: tuple[tuple[int, ...], ...], identity: int):
+        n, e = order, identity
+        if len(table) != n or any(len(row) != n for row in table):
             raise InvalidCayleyTable(f"table must be {n}x{n}")
-        if not 0 <= self.identity < n:
-            raise InvalidCayleyTable(f"identity index {self.identity} out of range")
+        if not 0 <= e < n:
+            raise InvalidCayleyTable(f"identity index {e} out of range")
         full = set(range(n))
-        for k, row in enumerate(self.table):
+        for k, row in enumerate(table):
             if set(row) != full:
                 raise InvalidCayleyTable(f"row {k} is not a permutation")
         for k in range(n):
-            if set(self.table[i][k] for i in range(n)) != full:
+            if set(table[i][k] for i in range(n)) != full:
                 raise InvalidCayleyTable(f"column {k} is not a permutation")
-        e = self.identity
         for k in range(n):
-            if self.table[e][k] != k or self.table[k][e] != k:
+            if table[e][k] != k or table[k][e] != k:
                 raise InvalidCayleyTable(f"element {e} is not an identity")
         for i, j, k in product(range(n), repeat=3):
-            if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
+            if table[table[i][j]][k] != table[i][table[j][k]]:
                 raise InvalidCayleyTable(f"associativity fails at ({i}, {j}, {k})")
+        return super().__new__(cls, order, table, identity)
 
     def product(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -132,12 +132,11 @@ def cayley_fixture(name: str) -> CayleyTable:
 # algebras
 
 
-@dataclass(frozen=True)
-class AlgebraModel:
-    dim: int
-    multiplication: MultiMap
-    unit: Sequence[Fraction] | None
-    basis_names: tuple[str, ...]
+class AlgebraModel(namedtuple("AlgebraModel", "dim multiplication unit basis_names")):
+    """An algebra of dimension ``dim``: its product as a bilinear ``MultiMap``,
+    its unit vector or None, and one name per basis vector."""
+
+    __slots__ = ()
 
     def validate(self) -> None:
         pi = self.multiplication
@@ -250,14 +249,13 @@ def matrix_algebra(k: int) -> AlgebraModel:
 # modules
 
 
-@dataclass(frozen=True)
-class BanachModuleModel:
-    """An algebra acting on a carrier space from both sides."""
+class BanachModuleModel(
+    namedtuple("BanachModuleModel", "algebra carrier_dim left_action right_action")
+):
+    """An algebra acting on a carrier space from both sides, each action a
+    bilinear ``MultiMap``."""
 
-    algebra: AlgebraModel
-    carrier_dim: int
-    left_action: MultiMap
-    right_action: MultiMap
+    __slots__ = ()
 
     def validate(self) -> None:
         n, d = self.algebra.dim, self.carrier_dim

@@ -22,8 +22,8 @@ adjoints and re-running the slot checks.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -55,31 +55,28 @@ from .tensor import (
 )
 
 
-@dataclass(frozen=True)
-class TriDerivationCandidate:
-    name: str
-    tri_map: MultiMap
-    module: BanachModuleModel
+class TriDerivationCandidate(namedtuple("TriDerivationCandidate", "name tri_map module")):
+    """A named tri-linear map from an algebra into a module over it; its
+    shape is checked when built."""
 
-    def __post_init__(self):
-        n = self.module.algebra.dim
-        d = self.module.carrier_dim
-        if self.tri_map.arity != 3:
-            raise ShapeMismatch(f"{self.name}: candidate must be tri-linear")
-        if self.tri_map.input_dims != (n, n, n) or self.tri_map.codomain_dim != d:
+    __slots__ = ()
+
+    def __new__(cls, name: str, tri_map: MultiMap, module: BanachModuleModel):
+        n, d = module.algebra.dim, module.carrier_dim
+        if tri_map.arity != 3:
+            raise ShapeMismatch(f"{name}: candidate must be tri-linear")
+        if tri_map.input_dims != (n, n, n) or tri_map.codomain_dim != d:
             raise ShapeMismatch(
-                f"{self.name}: shape {self.tri_map.shape} does not chain "
+                f"{name}: shape {tri_map.shape} does not chain "
                 f"through algebra dim {n} into carrier dim {d}"
             )
+        return super().__new__(cls, name, tri_map, module)
 
 
-@dataclass(frozen=True)
-class DerivationReport:
+class DerivationReport(namedtuple("DerivationReport", "first_slot middle_slot last_slot")):
     """The first failing basis quadruple of each slot identity, or None."""
 
-    first_slot: tuple[int, int, int, int] | None
-    middle_slot: tuple[int, int, int, int] | None
-    last_slot: tuple[int, int, int, int] | None
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:

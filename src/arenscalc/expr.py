@@ -23,7 +23,7 @@ slots.  Only ``r`` makes sense at arity 2 (the plain transpose).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 ADJOINT = "*"
 FLIP_LETTERS = "ijrts"
@@ -91,12 +91,10 @@ def flip_perm(letter: str, arity: int) -> tuple[int, ...]:
     raise FlipArityMismatch(f"flip '{letter}' is not defined at arity {arity}")
 
 
-@dataclass(frozen=True)
-class ExprAst:
-    """A named base map with a sequence of postfix operations."""
+class ExprAst(namedtuple("ExprAst", "base ops", defaults=((),))):
+    """A named base map with a tuple of postfix operations."""
 
-    base: str
-    ops: tuple[str, ...] = ()
+    __slots__ = ()
 
     def render(self) -> str:
         if not self.ops:
@@ -147,12 +145,10 @@ def parse(text: str) -> ExprAst:
     return ExprAst(_check_name(stripped[:cut]), _check_ops(stripped[cut:]))
 
 
-@dataclass(frozen=True)
-class SpaceRef:
+class SpaceRef(namedtuple("SpaceRef", "base level", defaults=(0,))):
     """A base space raised to some dual level: level 2 means the bidual."""
 
-    base: str
-    level: int = 0
+    __slots__ = ()
 
     def dual(self) -> "SpaceRef":
         return SpaceRef(self.base, self.level + 1)
@@ -161,10 +157,10 @@ class SpaceRef:
         return self.base + "*" * self.level
 
 
-@dataclass(frozen=True)
-class Signature:
-    inputs: tuple[SpaceRef, ...]
-    codomain: SpaceRef
+class Signature(namedtuple("Signature", "inputs codomain")):
+    """A tuple of input spaces and a codomain, each a ``SpaceRef``."""
+
+    __slots__ = ()
 
     @property
     def arity(self) -> int:

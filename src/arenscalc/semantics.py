@@ -28,7 +28,7 @@ Everything else the symbolic layer refuses to decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .expr import (
     ADJOINT,
@@ -62,14 +62,12 @@ def order_of_perm(perm: Perm) -> LimitOrder:
     return tuple(INPUT_AXES[k] for k in perm)  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class AxisAssignment:
+class AxisAssignment(
+    namedtuple("AxisAssignment", "slot_axes slot_levels codomain_axis codomain_level")
+):
     """Base axis and dual level for every slot and for the codomain."""
 
-    slot_axes: tuple[str, ...]
-    slot_levels: tuple[int, ...]
-    codomain_axis: str
-    codomain_level: int
+    __slots__ = ()
 
     def role_key(self):
         """Collapsed comparison key: which axes are inputs at which parity,
@@ -195,11 +193,14 @@ DISTINCT = "DISTINCT"
 NOT_COMPARABLE = "NOT-COMPARABLE"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str
-    condition: str | None = None
-    witness: dict = field(default_factory=dict)
+class Verdict(namedtuple("Verdict", "kind condition witness")):
+    """A verdict kind, the condition of an EQUAL-IFF verdict, and a witness
+    dict; a verdict built without a witness gets a fresh empty one."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, condition=None, witness=None):
+        return super().__new__(cls, kind, condition, {} if witness is None else witness)
 
     def render(self) -> str:
         if self.kind == EQUAL_IFF:

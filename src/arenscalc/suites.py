@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from itertools import product
+from itertools import chain
 
 from .algebra import (
     GROUP_FIXTURES,
@@ -326,12 +326,12 @@ def run_adjoint_pairing(
         picked = _pick_dims(rng, arity + 1, dims)
         f = random_map(arity, picked[:arity], picked[arity], seed=rng.randrange(1 << 30))
         fstar = prepared("f^{*}", arity)(f)  # the adjoint the package itself uses
-        # <f*(e_l, e_i1, .., e_i(n-1)), e_in> = <e_l, f(e_i1, .., e_in)>,
-        # read entry by entry so the check does not share the kernel
-        if any(
-            fstar.entry((idx[-1],) + idx[:-1]) != f.entry(idx)
-            for idx in product(*map(range, f.shape))
-        ):
+        # <f*(e_l, e_i1, .., e_i(n-1)), e_in> = <e_l, f(e_i1, .., e_in)>: row-major
+        # f* is f read with its last axis (stride 1) outermost, gathered here by
+        # stride so the check does not share the kernel
+        d = f.input_dims[-1]
+        expected = tuple(chain.from_iterable(f.entries[i::d] for i in range(d)))
+        if fstar.shape != (d,) + f.shape[:-1] or fstar.entries != expected:
             failures.append(str(k))
     detail = f"{instances - len(failures)}/{instances} instances"
     if failures:

@@ -44,11 +44,11 @@ read from a map file is its exact binary value.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import re
 from array import array
+from collections import namedtuple
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -94,6 +94,9 @@ def toggle_dual(label: str) -> str:
     return label[:-1] if label.endswith("*") else label + "*"
 
 
+# the one dataclass: maps are validated in __post_init__, rebuilt with
+# dataclasses.replace (by callers outside the package too), and hold a
+# cached lane, which a tuple cannot
 @dataclass(frozen=True)
 class MultiMap:
     name: str
@@ -325,12 +328,13 @@ def realize(expr: ExprAst, base: MultiMap) -> MultiMap:
     return realizer(expr, base.arity)(base)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    left_name: str
-    right_name: str
-    equal: bool
-    first_mismatch: tuple | None = None
+class IdentityReport(
+    namedtuple("IdentityReport", "left_name right_name equal first_mismatch", defaults=(None,))
+):
+    """Whether two named maps are equal, else ``(index, left, right)`` where
+    they first differ."""
+
+    __slots__ = ()
 
     def render(self) -> str:
         if self.equal:
@@ -548,6 +552,8 @@ def from_dict(d: dict) -> MultiMap:
 
 
 def save_map(m: MultiMap, path) -> None:
+    import json  # imported here: most runs read and write no map file
+
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(to_dict(m), fh, indent=1)
         fh.write("\n")
@@ -557,6 +563,8 @@ MAP_FILE_BYTES = 1 << 20  # the most load_map reads of a map file, which must be
 
 
 def load_map(path) -> MultiMap:
+    import json  # as in save_map
+
     if not S_ISREG(os.stat(path).st_mode):
         raise OSError(f"map file {path} is not a regular file")
     with open(path, "rb") as fh:
