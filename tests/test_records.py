@@ -13,8 +13,8 @@ import sys
 import pytest
 
 import arenscalc.cli  # noqa: F401  (loads every module of the package)
-from arenscalc.algebra import CayleyTable, regular_module, truncated_poly_algebra
-from arenscalc.derivation import DerivationReport, derivation_fixture
+from arenscalc.algebra import AlgebraModel, BanachModuleModel, CayleyTable, truncated_poly_algebra
+from arenscalc.derivation import DerivationReport, TriDerivationCandidate, derivation_fixture
 from arenscalc.expr import ExprAst, Signature, SpaceRef
 from arenscalc.semantics import AxisAssignment, Verdict
 from arenscalc.tensor import IdentityReport, MultiMap
@@ -32,7 +32,6 @@ def test_multimap_is_the_only_dataclass():
 
 
 _ALGEBRA, _ = truncated_poly_algebra(2)
-_MODULE = regular_module(_ALGEBRA)
 _CANDIDATE = derivation_fixture("zero")
 
 # (record class, positional arguments, field names in order)
@@ -47,11 +46,11 @@ RECORDS = [
     (IdentityReport, ("f", "g", False, ((0, 1), "1", "2")),
      ("left_name", "right_name", "equal", "first_mismatch")),
     (CayleyTable, (2, ((0, 1), (1, 0)), 0), ("order", "table", "identity")),
-    (type(_ALGEBRA), tuple(getattr(_ALGEBRA, k) for k in ("dim", "multiplication", "unit", "basis_names")),
+    (AlgebraModel, (2, _ALGEBRA.multiplication, _ALGEBRA.unit, _ALGEBRA.basis_names),
      ("dim", "multiplication", "unit", "basis_names")),
-    (type(_MODULE), (_ALGEBRA, 2, _ALGEBRA.multiplication, _ALGEBRA.multiplication),
+    (BanachModuleModel, (_ALGEBRA, 2, _ALGEBRA.multiplication, _ALGEBRA.multiplication),
      ("algebra", "carrier_dim", "left_action", "right_action")),
-    (type(_CANDIDATE), ("zero", _CANDIDATE.tri_map, _CANDIDATE.module),
+    (TriDerivationCandidate, ("zero", _CANDIDATE.tri_map, _CANDIDATE.module),
      ("name", "tri_map", "module")),
     (DerivationReport, (None, (0, 1, 0, 1), None), ("first_slot", "middle_slot", "last_slot")),
 ]
