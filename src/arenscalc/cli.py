@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .algebra import (
     GROUP_FIXTURES,
@@ -139,7 +138,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     text = render_report(sections, config)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return PASS if all(ok for _, rows in sections for _, ok, _ in rows) else IDENTITY_FAILED
@@ -202,15 +202,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.run(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        message = str(exc)
     except (
         ExprError, DimensionMismatch, ShapeMismatch, InvalidAlgebra, InvalidCayleyTable,
         OSError, KeyError, ValueError, TypeError, RuntimeError, MemoryError,
     ) as exc:
         # malformed JSON raises ValueError, deep nesting RecursionError, a huge input MemoryError
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        message = f"{type(exc).__name__}: {exc}"
+    # one line, though a map's name or a path may hold line breaks
+    print("error:", " ".join(message.splitlines()), file=sys.stderr)
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -23,10 +23,12 @@ every call, for words from outside, never kept.  ``adjoint`` and ``flip``
 are the step-by-step test oracle.
 
 Every map has an integer lane ``(ints, den)``, its entries over one common
-denominator in lowest terms, read once and kept; the contractions read
-lanes.  A map built from maps already checked (a transpose, composition or
-slice) skips validation and keeps the lane its kernel holds; a transpose
-carries one only from a source that has one.
+denominator in lowest terms, which the contractions read.  A lane has two
+sources: the kernel that built the map (``compose_into_slot``, through it
+``compose_codomain``, and ``slice_slot``), or a first read of the map's
+entries through ``MultiMap.lane``, kept from then on.  A map built from
+maps already checked (a transpose, composition or slice) skips
+validation; a transpose holds no lane.
 
 A stack is n maps of one shape laid end to end, with a leading instance
 axis; a single map is a stack of one.  ``transpose``, so every realizer,
@@ -75,19 +77,8 @@ def vector(values) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
 
-def zero_vector(dim: int) -> tuple[Fraction, ...]:
-    return (Fraction(0),) * dim
-
-
 def basis_vector(dim: int, k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1 if i == k else 0) for i in range(dim))
-
-
-def pair(functional: Sequence[Fraction], arg: Sequence[Fraction]) -> Fraction:
-    """Dot-product pairing of a functional against a vector."""
-    if len(functional) != len(arg):
-        raise DimensionMismatch(f"pairing dims differ: {len(functional)} vs {len(arg)}")
-    return sum((a * b for a, b in zip(functional, arg)), Fraction(0))
 
 
 def toggle_dual(label: str) -> str:
@@ -130,8 +121,11 @@ class MultiMap:
         return _integers(self.entries)
 
     def entry(self, index: tuple[int, ...]) -> Fraction:
+        shape = _single(self).shape
+        if len(index) != len(shape):
+            raise DimensionMismatch(f"index {index} has {len(index)} positions for shape {shape}")
         flat = 0
-        for size, i in zip(_single(self).shape, index):
+        for size, i in zip(shape, index):
             if not 0 <= i < size:
                 raise DimensionMismatch(f"index {index} out of range for {self.shape}")
             flat = flat * size + i
@@ -240,8 +234,8 @@ def _slot_last(m: MultiMap, axis: int) -> tuple:
 def transpose(m: MultiMap, new_axes, name=None, labels=None) -> MultiMap:
     """Reorder all axes (codomain included); new axis b draws old axis
     new_axes[b].  Axis 0 of the result is its codomain.  The result's
-    labels default to the moved labels of ``m``.  The result holds a lane
-    only if ``m`` does."""
+    labels default to the moved labels of ``m``.  The result holds no
+    lane: a first read builds one from its entries."""
     if sorted(new_axes) != list(range(m.arity + 1)):
         raise ShapeMismatch(f"bad axis order {new_axes} for arity {m.arity}")
     new_shape = tuple(map(m.shape.__getitem__, new_axes))
@@ -249,11 +243,9 @@ def transpose(m: MultiMap, new_axes, name=None, labels=None) -> MultiMap:
         labels = tuple(m.axis_labels[a] for a in new_axes)
     elif len(set(labels)) != m.arity + 1:
         raise ShapeMismatch(f"need {m.arity + 1} unique axis labels, got {labels}")
-    if (lane := vars(m).get("lane")) is not None:
-        lane = (_permute(lane[0], m.shape, new_axes, m.instances), lane[1])
     return _checked(
         name if name is not None else m.name, new_shape[1:], new_shape[0], labels,
-        _permute(m.entries, m.shape, new_axes, m.instances), m.instances, lane,
+        _permute(m.entries, m.shape, new_axes, m.instances), m.instances,
     )
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arenscalc import cli, suites, tensor
 from arenscalc.cli import main
@@ -207,6 +210,129 @@ def test_check_map_reads_at_most_the_byte_cap(tmp_path, capsys, monkeypatch):
     assert main(["check", "f", "f", "--map", str(path)]) == 2
     line = _one_error_line(capsys, "error: OSError: ")
     assert line.endswith(f"map file {path} is larger than {size - 1} bytes")
+
+
+# ---------------------------------------------------------------------------
+# generated hostile input, in process: no child is spawned, so every --map
+# that is not a regular file must be refused before it is opened
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_HOSTILE_TEXT = st.text(st.sampled_from("fgm^{}*ijrst-_ 0\n\r\u2028\u00e9\\\""), max_size=12)
+_FIELDS = ("name", "arity", "input_dims", "codomain_dim", "axis_labels", "entries")
+_MUTATIONS = ("none", "type", "dims", "labels", "digits", "nesting", "drop", "bytes")
+_RAW = "\x00raw\x00"  # a placeholder in the JSON text, replaced by raw text
+
+
+@st.composite
+def _map_documents(draw) -> bytes:
+    """The bytes of a map file: a saved map under any name, as saved or
+    with one or two mutations of its fields."""
+    arity = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(1, 3), min_size=arity + 1, max_size=arity + 1))
+    name = draw(st.sampled_from(["f", "two\nlines"]) | _HOSTILE_TEXT)
+    doc = to_dict(random_map(arity, dims[1:], dims[0], draw(st.integers(0, 99)), name))
+    entries, raw = doc["entries"], None
+    for mutation in draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=2)):
+        if mutation == "type":
+            doc[draw(st.sampled_from(_FIELDS))] = draw(_JSON)
+        elif mutation == "dims":
+            key = draw(st.sampled_from(["arity", "codomain_dim", "input_dims"]))
+            value = draw(st.sampled_from([-1, 0, 10**6, 10**30, -(10**30)]))
+            doc[key] = [value] * arity if key == "input_dims" else value
+        elif mutation == "labels":
+            labels = list(default_labels(arity))
+            labels[draw(st.integers(1, arity))] = draw(st.sampled_from(["out", "out*"]))
+            doc["axis_labels"] = labels
+        elif mutation == "digits":
+            digits = "7" * draw(st.sampled_from([20, 4300, 4301, 20_000]))
+            texts = [digits, "-" + digits, f'"{digits}"', f'"1/{digits}"', '"1/0"']
+            raw = draw(st.sampled_from(texts))
+            doc["entries"] = [_RAW] + entries[1:]
+        elif mutation == "nesting":
+            depth = draw(st.sampled_from([2, 50, 5_000, 200_000]))
+            raw = "[" * depth + "]" * depth * draw(st.booleans())
+            doc["entries"] = _RAW
+        elif mutation == "drop":
+            doc.pop(draw(st.sampled_from(_FIELDS)), None)
+        elif mutation == "bytes":
+            return draw(st.binary(max_size=16))
+    text = json.dumps(doc)
+    return (text if raw is None else text.replace(json.dumps(_RAW), raw)).encode()
+
+
+def test_generated_hostile_input_exits_0_1_or_2_with_one_error_line(tmp_path):
+    """Generated argv for every subcommand, with generated map files: no
+    exception escapes ``main``, and an exit 2 writes one ``error:`` line.
+    The argv stays within what argparse accepts, whose own usage errors
+    exit by ``SystemExit``."""
+    fifo, directory = tmp_path / "pipe", tmp_path / "a\ndirectory"
+    os.mkfifo(fifo)
+    directory.mkdir()
+    docs = (tmp_path / "left.json", tmp_path / "right.json")
+    not_files = [str(fifo), str(directory), "/dev/zero", str(tmp_path / "missing.json")]
+    # words every arity takes; a check draws them half the time, so most
+    # checks get past parsing to their base maps
+    adjoints = st.integers(0, 4).map(lambda n: "f^{" + "*" * n + "}")
+    words = st.one_of(
+        st.text(st.sampled_from("*ijrst"), max_size=8).map("f^{{{}}}".format),
+        st.builds(lambda unit, n: "f^{" + unit * n + "}",
+                  st.text(st.sampled_from("*ts"), min_size=1, max_size=4), st.integers(100, 1000)),
+        _HOSTILE_TEXT.filter(lambda w: not w.startswith("-")),
+    )
+    arity = st.sampled_from(["3", "2", "1"])
+    seed = st.integers(-(10**20), 10**20).map(str)
+
+    @st.composite
+    def check_args(draw):
+        base = draw(st.sampled_from(["one map", "two maps", "not a file", "fixture", "random"]))
+        if base == "fixture":
+            fixtures = ["z3-conv", "z2-pi", "poly3-euler", "q9-conv"]
+            return ["--fixture", draw(st.sampled_from(fixtures))]
+        if base == "random":
+            dims = ["2,2,2,2", "1,2,3,2", "6,6,6,6", "3,1", "0,2", "7,2", "2", "a,b"]
+            return ["--seed", draw(seed), "--dims", draw(st.sampled_from(dims))]
+        if base == "not a file":
+            return ["--map", draw(st.sampled_from(not_files))]
+        paths = docs[:1 + (base == "two maps")]
+        for path in paths:
+            path.write_bytes(draw(_map_documents()))
+        return [a for path in paths for a in ("--map", str(path))]
+
+    argvs = st.one_of(
+        st.tuples(st.just("parse"), words, st.just("--arity"), arity).map(list),
+        st.tuples(st.just("classify"), words, words, st.just("--arity"), arity).map(list),
+        st.builds(lambda w1, w2, rest: ["check", w1, w2, *rest],
+                  adjoints | words, adjoints | words, check_args()),
+        # a report takes some 30 ms even this small, so most drawn are refused early
+        st.builds(
+            lambda t, d, rest: ["report", "--trials", t, "--instances", "1", "--dims", d, *rest],
+            st.sampled_from(["1", "0"]), st.sampled_from(["1,2,1,2", "2,2,2", "x"]),
+            st.sampled_from([["--fixture", "z2"], ["--fixture", "q8"],
+                             ["--fixture", "z2", "--out", str(tmp_path / "r.md")],
+                             ["--fixture", "z2", "--out", str(directory)]]),
+        ),
+    )
+
+    @settings(max_examples=200, deadline=2000, derandomize=True, database=None)
+    @given(argvs)
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        else:
+            assert lines == []
+
+    run()
 
 
 @pytest.fixture

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import prod
+from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,6 @@ from arenscalc.tensor import (
     from_dict,
     from_function,
     load_map,
-    pair,
     random_map,
     realize,
     realizer,
@@ -35,7 +36,6 @@ from arenscalc.tensor import (
     stack,
     to_dict,
     vector,
-    zero_vector,
 )
 
 
@@ -62,8 +62,8 @@ def test_adjoint_pairing_identity_all_arities():
             for idx in _basis_tuples((cod,) + dims):
                 wstar = basis_vector(cod, idx[0])
                 args = [basis_vector(d, i) for d, i in zip(dims, idx[1:])]
-                lhs = pair(evaluate(g, [wstar] + args[:-1]), args[-1])
-                rhs = pair(wstar, evaluate(f, args))
+                lhs = sum(map(mul, evaluate(g, [wstar] + args[:-1]), args[-1]))
+                rhs = sum(map(mul, wstar, evaluate(f, args)))
                 assert lhs == rhs
 
 
@@ -74,6 +74,14 @@ def test_adjoint_entry_rule():
     assert g.codomain_dim == 2
     for l, i, j, k in _basis_tuples(f.shape):
         assert g.entry((k, l, i, j)) == f.entry((l, i, j, k))
+
+
+def test_entry_refuses_an_index_of_another_length():
+    f = random_map(3, (2, 2, 2), 2, seed=1)
+    assert f.entry((0, 1, 0, 1)) == f.entries[5]
+    for index in ((), (1,), (0, 1, 0), (0, 1, 0, 0, 7)):
+        with pytest.raises(DimensionMismatch, match=f"{len(index)} positions for shape"):
+            f.entry(index)
 
 
 def test_adjoint_labels():
@@ -152,11 +160,6 @@ def test_evaluate_dim_checks():
         evaluate(f, [basis_vector(3, 0), basis_vector(2, 0), basis_vector(2, 0)])
     with pytest.raises(DimensionMismatch):
         evaluate(f, [basis_vector(2, 0)])
-
-
-def test_pair_dim_check():
-    with pytest.raises(DimensionMismatch):
-        pair(basis_vector(2, 0), basis_vector(3, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +533,7 @@ def test_compositions_equal_per_index_sums(data):
 
 def test_evaluate_at_zero_gives_fraction_zeros():
     f = random_map(2, (2, 3), 3, seed=59)
-    got = evaluate(f, [zero_vector(2), vector([1, 2, 3])])
+    got = evaluate(f, [vector([0, 0]), vector([1, 2, 3])])
     assert got == (Fraction(0),) * 3
     assert all(type(c) is Fraction for c in got)
 
@@ -831,14 +834,19 @@ def test_every_held_lane_is_the_one_the_entries_give(data):
         v = _draw_vector(data, outer.input_dims[slot - 1])
         held = outer.lane[1] == 1 and all(x.denominator == 1 for x in v)
         _check_lane(slice_slot(outer, slot, v), held)
-    # a transpose holds a lane exactly when its source does, a stack included
+    # a transpose never holds a lane, a stack included, even from a source
+    # that holds one: it permutes the entries alone, and its first lane read
+    # is the one its entries give
     axes = tuple(data.draw(st.permutations(range(outer.arity + 1))))
     fresh = dataclasses.replace(outer, name="g")
-    assert "lane" not in vars(tensor_module.transpose(fresh, axes))
     many = stack([outer, fresh])
     _check_lane(many, held=False)  # reads the stack's lane, which it then holds
-    for source in (outer, many):
-        _check_lane(tensor_module.transpose(source, axes), held=True)
+    for source in (fresh, outer, many):
+        with mock.patch.object(tensor_module, "_permute", wraps=tensor_module._permute) as spy:
+            got = tensor_module.transpose(source, axes)
+        assert spy.call_count == 1
+        assert "lane" not in vars(got)
+        assert got.lane == tensor_module._integers(got.entries)
 
 
 def test_replaced_entries_get_a_fresh_lane():
