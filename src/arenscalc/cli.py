@@ -41,11 +41,19 @@ IDENTITY_FAILED = 1
 USAGE_ERROR = 2
 
 MAX_DIM = 6
+MAX_COUNT = 10_000
 ARITIES = (1, 2, 3)
 
 
 class CliError(Exception):
     """Usage or configuration problem; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ``CliError``, so ``main`` prints one line."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
 
 
 def map_fixture(name: str):
@@ -113,10 +121,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise CliError("--trials must be at least 1")
-    if args.instances < 1:
-        raise CliError("--instances must be at least 1")
+    for flag, count in (("--trials", args.trials), ("--instances", args.instances)):
+        if not 1 <= count <= MAX_COUNT:
+            raise CliError(f"{flag} {count} outside [1, {MAX_COUNT}]")
     dims = _parse_dims(args.dims, exact=4)
     fixtures = tuple(args.fixture) if args.fixture else GROUP_FIXTURES
     for name in fixtures:
@@ -146,7 +153,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arens",
         description="Adjoint and flip calculus for bounded multilinear maps.",
     )
@@ -197,9 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
     except CliError as exc:
         message = str(exc)
@@ -208,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         OSError, KeyError, ValueError, TypeError, RuntimeError, MemoryError,
     ) as exc:
         # malformed JSON raises ValueError, deep nesting RecursionError, a huge input MemoryError
-        message = f"{type(exc).__name__}: {exc}"
+        message = type(exc).__name__ + (f": {exc}" if str(exc) else "")
     # one line, though a map's name or a path may hold line breaks
     print("error:", " ".join(message.splitlines()), file=sys.stderr)
     return USAGE_ERROR

@@ -200,6 +200,36 @@ def test_memory_error_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch)
     _one_error_line(capsys, "error: MemoryError")
 
 
+def test_memory_error_without_a_message_prints_its_name_alone(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_parse", exhausted)
+    assert main(["parse", "f"]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+@pytest.mark.parametrize("argv, phrase", [
+    (["parse", "f", "--arity", "7"], "invalid choice: 7"),
+    (["check", "-x", "f"], "required: expr2"),
+    (["check", "f", "f", "-x"], "unrecognized arguments: -x"),
+    ([], "required: command"),
+])
+def test_usage_error_exits_2_with_one_error_line(capsys, argv, phrase):
+    # argparse's wording varies across Python versions; its phrase stays
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: arens") and phrase in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: arens")
+
+
 def test_check_map_reads_at_most_the_byte_cap(tmp_path, capsys, monkeypatch):
     path = tmp_path / "m.json"
     save_map(random_map(1, (1,), 1, seed=4), path)
@@ -267,10 +297,10 @@ def _map_documents(draw) -> bytes:
 
 
 def test_generated_hostile_input_exits_0_1_or_2_with_one_error_line(tmp_path):
-    """Generated argv for every subcommand, with generated map files: no
-    exception escapes ``main``, and an exit 2 writes one ``error:`` line.
-    The argv stays within what argparse accepts, whose own usage errors
-    exit by ``SystemExit``."""
+    """Generated argv for every subcommand, with generated map files, and
+    the same argv with an operand dropped or a stray flag or word put in:
+    no exception escapes ``main``, and an exit 2 writes one ``error:``
+    line, a usage error included."""
     fifo, directory = tmp_path / "pipe", tmp_path / "a\ndirectory"
     os.mkfifo(fifo)
     directory.mkdir()
@@ -283,9 +313,10 @@ def test_generated_hostile_input_exits_0_1_or_2_with_one_error_line(tmp_path):
         st.text(st.sampled_from("*ijrst"), max_size=8).map("f^{{{}}}".format),
         st.builds(lambda unit, n: "f^{" + unit * n + "}",
                   st.text(st.sampled_from("*ts"), min_size=1, max_size=4), st.integers(100, 1000)),
-        _HOSTILE_TEXT.filter(lambda w: not w.startswith("-")),
+        _HOSTILE_TEXT,
+        _HOSTILE_TEXT.map("-{}".format),
     )
-    arity = st.sampled_from(["3", "2", "1"])
+    arity = st.sampled_from(["3", "2", "1", "7", "0", "x", ""])
     seed = st.integers(-(10**20), 10**20).map(str)
 
     @st.composite
@@ -319,8 +350,23 @@ def test_generated_hostile_input_exits_0_1_or_2_with_one_error_line(tmp_path):
         ),
     )
 
+    # no edit leaves a report its default size: each leaves a flag without
+    # its value or an operand over, which argparse refuses
+    strays = st.sampled_from(["-x", "--bogus", "--arity", "--fixture", "--", "-", "-1"]) | words
+
+    @st.composite
+    def edited(draw):
+        argv = draw(argvs)
+        k = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["none", "none", "drop", "insert"]))
+        if edit == "drop":
+            argv.pop(k % len(argv))  # the command, an operand, a flag or its value
+        elif edit == "insert":
+            argv.insert(k, draw(strays))
+        return argv
+
     @settings(max_examples=200, deadline=2000, derandomize=True, database=None)
-    @given(argvs)
+    @given(edited())
     def run(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -424,6 +470,23 @@ def test_report_rejects_zero_trials(capsys):
     assert "--trials" in capsys.readouterr().err
 
 
+class _SuiteRan(Exception):
+    pass
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--instances"])
+def test_report_refuses_a_count_above_the_cap_before_any_suite_runs(capsys, monkeypatch, flag):
+    def full_suite(**_):
+        raise _SuiteRan
+
+    monkeypatch.setattr(cli, "full_suite", full_suite)
+    cap = cli.MAX_COUNT
+    assert main(["report", flag, str(cap + 1)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} {cap + 1} outside [1, {cap}]\n"
+    with pytest.raises(_SuiteRan):  # the cap itself is allowed
+        main(["report", flag, str(cap)])
+
+
 def test_report_rejects_unknown_fixture(capsys):
     assert main(["report", "--fixture", "z9"]) == 2
 
@@ -519,8 +582,9 @@ def test_installed_entry_point_runs():
         text=True,
         input="",
     )
-    # bare invocation is a usage error from argparse
+    # bare invocation is a usage error from argparse, reported in one line
     assert proc.returncode == 2
+    assert proc.stderr == "error: arens: the following arguments are required: command\n"
 
 
 def test_module_invocation_parse():

@@ -14,6 +14,7 @@ from arenscalc.algebra import (
     InvalidAlgebra,
     group_algebra,
     cayley_fixture,
+    extensions,
     matrix_algebra,
     regular_module,
     truncated_poly_algebra,
@@ -32,6 +33,7 @@ from arenscalc.derivation import (
     leibniz_sum,
     right_action_composite,
 )
+from arenscalc.semantics import ARENS_FLIPS
 from arenscalc.tensor import (
     MultiMap,
     adjoint,
@@ -517,6 +519,57 @@ def test_fourth_adjoint_failure_names_the_structure_map(monkeypatch, role):
             False,
             f"{role}: FAIL  pi^{{r***r}} != pi at index [0, 0, 0]: 2 vs 1",
         ),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(CANDIDATES))
+def test_extensions_keep_every_axis_and_entry_in_place(name):
+    # the fourth-adjoint harness checks D^{****} over the candidate's own
+    # module once the extended structure equals it; that needs equality
+    # axis for axis, not only up to the label alignment ``equal`` does
+    cand = CANDIDATES[name]
+    alg, mod = cand.module.algebra, cand.module
+    for m, leads in [(cand.tri_map, ("",))] + [
+        (m, ARENS_FLIPS) for m in (alg.multiplication, mod.left_action, mod.right_action)
+    ]:
+        for lead, ext in extensions(m, leads).items():
+            assert (ext.shape, ext.axis_labels, ext.entries) == (m.shape, m.axis_labels, m.entries), lead
+
+
+def test_fourth_adjoint_checks_the_candidates_own_structure_once(monkeypatch):
+    cand = derivation_fixture("poly3-euler")  # its build validates its structure
+    calls = {"is_tri_derivation": 0, "AlgebraModel": 0, "BanachModuleModel": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(derivation_module, "is_tri_derivation",
+                        counted("is_tri_derivation", is_tri_derivation))
+    for cls in (AlgebraModel, BanachModuleModel):
+        monkeypatch.setattr(cls, "validate", counted(cls.__name__, cls.validate))
+    rows = fourth_adjoint_check(cand)
+    assert all(ok for _, ok, _ in rows)
+    assert calls == {"is_tri_derivation": 1, "AlgebraModel": 0, "BanachModuleModel": 0}
+
+
+def test_fourth_adjoint_slot_checks_read_the_fourth_adjoint(perturb_realized):
+    # poly3-euler is a tri-derivation, so failing slot checks come from D^{****}
+    perturb_realized("D^{****}")
+    rows = fourth_adjoint_check(CANDIDATES["poly3-euler"])
+    slots = "; ".join(
+        f"{slot} slot: fails at basis quadruple (0, 0, 0, 0)" for slot in ("first", "middle", "last")
+    )
+    assert rows[:3] == [
+        (
+            "fourth adjoint reproduces the candidate",
+            False,
+            "FAIL  D^{****} != D at index [0, 0, 0, 0]: 1 vs 0",
+        ),
+        ("fourth adjoint is again a derivation (first product)", False, slots),
+        ("fourth adjoint is again a derivation (second product)", False, slots),
     ]
 
 
