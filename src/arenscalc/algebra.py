@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import islice, permutations, product
+from itertools import combinations, permutations, product
 
 from .semantics import ARENS_FLIPS, extension_expr
 from .tensor import (
@@ -37,12 +37,12 @@ from .tensor import (
     compose_codomain,
     compose_into_slot,
     equal,
-    evaluate,
     from_function,
     prepared,
     slice_slot,
     vector,
 )
+from .tensor import _contract_last, _fractions, _integers, _slice, _slot_last
 
 
 class InvalidCayleyTable(Exception):
@@ -295,6 +295,8 @@ def regular_module(model: AlgebraModel) -> BanachModuleModel:
 # ---------------------------------------------------------------------------
 # bilinear extension checks
 
+BRIDGE_ROWS = ("slice bridge identity", "sliced map extension comparison",
+               "cycled-vs-reversed extension remark")  # the rows of a slice bridge check
 
 def extensions(m: MultiMap, leads) -> dict[str, MultiMap]:
     """The canonical extensions of ``m`` at its own arity, keyed by leading flip."""
@@ -318,39 +320,37 @@ def slice_bridge_check(
     The sliced map fixes a codomain functional in the once-adjointed
     cycled map.  Its double extension must match the corresponding slice
     of the six-fold adjoint, and the sliced map must pass the two-sided
-    extension comparison.  Returns the sliced map and the report rows.
+    extension comparison.  Returns the sliced map and the report rows.  A
+    stack of n maps takes n functionals, end to end in ``wstar``.
     """
     if f.arity != 3:
         raise DimensionMismatch(f"{f.name}: need a tri-linear map")
-    if len(wstar) != f.codomain_dim:
-        raise DimensionMismatch(
-            f"functional dim {len(wstar)} vs codomain dim {f.codomain_dim}"
-        )
-    m = slice_slot(prepared("f^{s*}", 3)(f), 1, wstar)
-    lhs = slice_slot(prepared("f^{s******}", 3)(f), 2, wstar)
-    rhs = prepared("f^{****}", 2)(m)
-    bridge = equal(lhs, rhs)
-    reg = regularity_check(m)
-    remark = equal(*extensions(f, ("s", "r")).values())
-    return m, (
-        ("slice bridge identity", bridge.equal, bridge.render()),
-        ("sliced map extension comparison", reg.equal, reg.render()),
-        ("cycled-vs-reversed extension remark", remark.equal, remark.render()),
-    )
+    if len(wstar) != f.instances * f.codomain_dim:
+        n = f"{f.instances} x " if f.instances > 1 else ""
+        raise DimensionMismatch(f"functional dim {len(wstar)} vs codomain dim {n}{f.codomain_dim}")
+    m = _slice(prepared("f^{s*}", 3)(f), 1, wstar)
+    lhs = _slice(prepared("f^{s******}", 3)(f), 2, wstar)
+    reps = (equal(lhs, prepared("f^{****}", 2)(m)), regularity_check(m),
+            equal(*extensions(f, ("s", "r")).values()))
+    return m, tuple((label, rep.equal, rep.render()) for label, rep in zip(BRIDGE_ROWS, reps))
 
 
-GRID_COORDS = (-1, 0, 1, 2)
-GRID_LIMIT = 256
+GRID_COORDS = (-1, 0, 1, 2)  # sorted, so a sorted grid is in the full grid's order
 
 
 def sample_grid(dim: int) -> tuple[tuple[Fraction, ...], ...]:
     """Deterministic sample vectors with small integer coordinates.
 
     Nonlinear constraints need more than basis vectors; degree-two
-    discrepancies surface at coordinates beyond {0, 1}.
+    discrepancies surface at coordinates beyond {0, 1}.  Past dim 4, the points
+    with at most two nonzero coordinates: enough for any polynomial of degree 2.
     """
-    pts = product(GRID_COORDS, repeat=dim)
-    return tuple(vector(p) for p in islice(pts, GRID_LIMIT))
+    if dim <= 4:  # the full grid, at most 256 points
+        return tuple(map(vector, product(GRID_COORDS, repeat=dim)))
+    zero, pairs = (0,) * dim, tuple(product(GRID_COORDS, repeat=2))
+    pts = {zero[:i] + (a,) + zero[i + 1:j] + (b,) + zero[j + 1:]
+           for i, j in combinations(range(dim), 2) for a, b in pairs}
+    return tuple(map(vector, sorted(pts)))
 
 
 def nested_bilinear_check(
@@ -375,13 +375,18 @@ def nested_bilinear_check(
         raise DimensionMismatch(
             f"candidate {candidate.shape} does not match {f.shape}"
         )
+    # lanes with slot 1 last; each grid vector scaled once, each map sliced at x once
+    lanes = [_slot_last(m, 1) for m in (f, inner, candidate)]
+    grid_y = [(y, *_integers(y)) for y in sample_grid(f.input_dims[1])]
     for x in sample_grid(f.input_dims[0]):
-        # sliced at x once: by multilinearity the same values at every y
-        fx, inner_x, cand_x = (slice_slot(m, 1, x) for m in (f, inner, candidate))
-        for y in sample_grid(f.input_dims[1]):
-            want = evaluate(fx, [y, evaluate(inner_x, [y])])
-            got = evaluate(cand_x, [y])
-            if got != want:
+        xs, e = _integers(x)
+        (fx, df), (inner_x, di), (cand_x, dc) = ((_contract_last(v, xs), d * e) for v, d in lanes)
+        for y, ys, ey in grid_y:
+            z, dz = _contract_last(inner_x, ys), di * ey
+            want, dw = _contract_last(_contract_last(fx, z), ys), df * dz * ey
+            got, dg = _contract_last(cand_x, ys), dc * ey
+            if [v * dg for v in want] != [v * dw for v in got]:
+                got, want = _fractions(got, dg), _fractions(want, dw)
                 raise ConstraintViolated(
                     f"candidate disagrees at x={tuple(map(str, x))}, "
                     f"y={tuple(map(str, y))}: "

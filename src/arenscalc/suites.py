@@ -22,6 +22,7 @@ from collections.abc import Sequence
 from itertools import chain
 
 from .algebra import (
+    BRIDGE_ROWS,
     GROUP_FIXTURES,
     ConstraintViolated,
     cayley_fixture,
@@ -242,14 +243,16 @@ def run_factorization_suite(seed: int, instances: int = 25, dims: Dims = None) -
 
 def run_slice_bridge_suite(seed: int, pairs: int = 25, dims: Dims = None) -> Section:
     rng = random.Random(seed)
-
-    def results():
-        for _ in range(pairs):
-            f = _rand_tri(rng, dims)
-            wstar = vector(tuple(rng.randint(-9, 9) for _ in range(f.codomain_dim)))
-            yield from slice_bridge_check(f, wstar)[1]
-
-    return "Bilinear slice bridge", tuple(tally_rows(results(), f"{pairs}/{pairs} pairs"))
+    maps, functionals = [], []
+    # each map, then its functional, as a map to the scalars: stacked, end to end
+    for _ in range(pairs):
+        maps.append(f := _rand_tri(rng, dims))
+        w = vector(tuple(rng.randint(-9, 9) for _ in range(f.codomain_dim)))
+        functionals.append(MultiMap("w", 1, (len(w),), 1, ("out", "in1"), w))
+    failures = _failures(lambda f, w: [row for row in slice_bridge_check(f, w.entries)[1]
+                                       if not row[1]], maps, functionals)
+    results = (result for _, bad in failures for result in bad)
+    return "Bilinear slice bridge", tuple(tally_rows(results, f"{pairs}/{pairs} pairs", BRIDGE_ROWS))
 
 
 def run_nested_bilinear_cases(seed: int) -> Section:
@@ -316,26 +319,30 @@ def run_derivation_suite() -> Section:
     return "Tri-derivations and the fourth adjoint", tuple(rows)
 
 
-def run_adjoint_pairing(
-    seed: int, instances: int = 200, dims: Dims = None
-) -> Section:
+def run_adjoint_pairing(seed: int, instances: int = 200, dims: Dims = None) -> Section:
     rng = random.Random(seed)
-    failures = []
+    groups: dict[tuple[int, ...], list] = {}  # shape -> its (instance, map) pairs
     for k in range(instances):
         arity = rng.choice((1, 2, 3))
         picked = _pick_dims(rng, arity + 1, dims)
         f = random_map(arity, picked[:arity], picked[arity], seed=rng.randrange(1 << 30))
-        fstar = prepared("f^{*}", arity)(f)  # the adjoint the package itself uses
+        groups.setdefault(f.shape, []).append((k, f))
+
+    def fails(f):
+        fstar = prepared("f^{*}", f.arity)(f)  # the adjoint the package itself uses
         # <f*(e_l, e_i1, .., e_i(n-1)), e_in> = <e_l, f(e_i1, .., e_in)>: row-major
         # f* is f read with its last axis (stride 1) outermost, gathered here by
-        # stride so the check does not share the kernel
-        d = f.input_dims[-1]
-        expected = tuple(chain.from_iterable(f.entries[i::d] for i in range(d)))
-        if fstar.shape != (d,) + f.shape[:-1] or fstar.entries != expected:
-            failures.append(str(k))
+        # stride, instance by instance, so the check does not share the kernel
+        d, size = f.input_dims[-1], len(f.entries) // f.instances
+        expected = tuple(chain.from_iterable(f.entries[o + i:o + size:d]
+                                             for o in range(0, len(f.entries), size) for i in range(d)))
+        return fstar.shape != (d,) + f.shape[:-1] or fstar.entries != expected
+
+    failures = sorted(ks[j] for ks, maps in (zip(*g) for g in groups.values())
+                      for j, _ in _failures(fails, maps))
     detail = f"{instances - len(failures)}/{instances} instances"
     if failures:
-        detail += "; failing instances: " + ", ".join(failures[:5])
+        detail += "; failing instances: " + ", ".join(map(str, failures[:5]))
     return "Adjoint pairing identity", (
         ("pairing identity on all basis tuples", not failures, detail),
     )

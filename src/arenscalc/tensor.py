@@ -37,8 +37,8 @@ stacks in one tuple comparison, mostly of shared objects, and scans for the
 first mismatch, indexed within its instance, only if that fails.  Two
 stacks of one count compose instance by instance.  A caller whose stack
 fails checks its maps again one by one, so a witness is a single map's.
-What reads one map (``evaluate``, a slice, ``entry``, ``to_dict``)
-refuses a stack.
+What reads one map (``evaluate``, ``slice_slot``, ``entry``, ``to_dict``)
+refuses a stack; ``_slice`` slices a stack at one vector per instance.
 
 All entries are ``fractions.Fraction`` and all checks are exact; a float
 read from a map file is its exact binary value.
@@ -484,11 +484,19 @@ def slice_slot(m: MultiMap, slot: int, vec: Sequence[Fraction]) -> MultiMap:
         raise DimensionMismatch(
             f"slot {slot} of {m.name} has dim {m.input_dims[slot - 1]}, vector {len(vec)}"
         )
-    dims = m.input_dims[: slot - 1] + m.input_dims[slot:]
-    (ints, den), (xs, e) = _slot_last(_single(m), slot), _integers(vec)
+    return _slice(_single(m), slot, vec)
+
+
+def _slice(m: MultiMap, slot: int, vecs: Sequence[Fraction]) -> MultiMap:
+    """Contract input ``slot`` of each instance of ``m`` with its own
+    vector, ``vecs`` holding one per instance, end to end."""
+    (ints, den), (xs, e) = _slot_last(m, slot), _integers(vecs)
+    d, size = m.input_dims[slot - 1], len(ints) // m.instances
+    lane = [v for k in range(m.instances)
+            for v in _contract_last(ints[k * size:(k + 1) * size], xs[k * d:(k + 1) * d])]
     return _checked(
-        f"{m.name}|s{slot}", dims, m.codomain_dim, m.axis_labels[:slot] + m.axis_labels[slot + 1:],
-        None, lane=(_contract_last(ints, xs), den * e),
+        f"{m.name}|s{slot}", m.input_dims[: slot - 1] + m.input_dims[slot:], m.codomain_dim,
+        m.axis_labels[:slot] + m.axis_labels[slot + 1:], None, m.instances, lane=(lane, den * e),
     )
 
 

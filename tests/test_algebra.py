@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from arenscalc.algebra import (
     AlgebraModel,
     BanachModuleModel,
     CayleyTable,
+    GRID_COORDS,
     ConstraintViolated,
     InvalidAlgebra,
     _check_product_rule,
@@ -28,7 +30,7 @@ from arenscalc.algebra import (
 )
 from arenscalc import semantics, tensor
 from arenscalc.expr import parse
-from arenscalc.semantics import ARENS_FLIPS, EXTENSION_FLIPS, extension_expr
+from arenscalc.semantics import ARENS_FLIPS, EXTENSION_FLIPS, default_labels, extension_expr
 from arenscalc.tensor import (
     DimensionMismatch,
     MultiMap,
@@ -382,6 +384,62 @@ def test_nested_check_fails_where_the_pointwise_scan_does():
     assert len(nested_bilinear_check(f, zero, zero)) == 3
 
 
+def _scan_reference(f, inner, cand):
+    """The nested check's scan restated: three ``evaluate`` calls per grid
+    point; the first failing point and its message, or None."""
+    for x in sample_grid(f.input_dims[0]):
+        for y in sample_grid(f.input_dims[1]):
+            got, want = evaluate(cand, [x, y]), evaluate(f, [x, y, evaluate(inner, [x, y])])
+            if got != want:
+                return (x, y), (
+                    f"candidate disagrees at x={tuple(map(str, x))}, y={tuple(map(str, y))}: "
+                    f"{tuple(map(str, got))} vs {tuple(map(str, want))}"
+                )
+    return None
+
+
+NESTED_ENTRIES = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_nested_check_fails_where_the_evaluate_scan_does(data):
+    # x up to dim 6, past the full grid; entries with denominators above 1
+    dx, dy = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+    dz, dl = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+
+    def draw(name, dims, cod, zero=False):
+        size = cod * prod(dims)
+        vals = [0] * size if zero else data.draw(st.lists(NESTED_ENTRIES, min_size=size, max_size=size))
+        return MultiMap(name, len(dims), dims, cod, default_labels(len(dims)), tuple(map(Fraction, vals)))
+
+    f = draw("f", (dx, dy, dz), dl)
+    inner = draw("m", (dx, dy), dz, zero=data.draw(st.booleans(), label="zero inner"))
+    # the zero candidate, right when inner is zero, with one entry perturbed
+    cand = draw("th", (dx, dy), dl, zero=True)
+    pos = data.draw(st.integers(0, len(cand.entries) - 1), label="perturbed position")
+    step = data.draw(st.sampled_from([Fraction(1), Fraction(-2, 3), Fraction(5, 7)]))
+    cand = MultiMap("th", 2, (dx, dy), dl, cand.axis_labels,
+                    cand.entries[:pos] + (step,) + cand.entries[pos + 1:])
+    point, message = _scan_reference(f, inner, cand)
+    with pytest.raises(ConstraintViolated) as exc_info:
+        nested_bilinear_check(f, inner, cand)
+    assert exc_info.value.point == point
+    assert str(exc_info.value) == message
+
+
+def test_nested_check_varies_every_coordinate_past_dim_4():
+    # (x0 - x1).y is not the zero map that f(x, y, inner(x, y)) is; a grid
+    # that holds x0 and x1 fixed cannot tell the two apart
+    f = from_function("f", (6, 1, 1), 1, lambda *_: 0)
+    inner = from_function("m", (6, 1), 1, lambda *_: 0)
+    cand = from_function("th", (6, 1), 1, lambda l, a, b: {0: 1, 1: -1}.get(a, 0))
+    with pytest.raises(ConstraintViolated) as exc_info:
+        nested_bilinear_check(f, inner, cand)
+    x, y = exc_info.value.point
+    assert x[0] != x[1] and y != (0,)
+
+
 def test_nested_shape_mismatch():
     f = random_map(3, (2, 2, 2), 2, seed=3)
     inner = from_function("m", (2, 2), 3, lambda *_: 0)
@@ -396,7 +454,16 @@ def test_sample_grid_deterministic_and_bounded():
     assert g1 == g2
     assert len(g1) == 16
     assert len(sample_grid(4)) == 256
-    assert len(sample_grid(5)) == 256
+    assert sample_grid(4) == tuple(map(vector, product(GRID_COORDS, repeat=4)))
+    # past dim 4: the full grid's points with at most two nonzero
+    # coordinates, in its order, so every coordinate takes every value
+    assert sample_grid(5) == tuple(
+        vector(p) for p in product(GRID_COORDS, repeat=5) if p.count(0) >= 3
+    )
+    for dim, size in ((5, 106), (6, 154), (9, 352)):
+        grid = sample_grid(dim)
+        assert len(grid) == size == 1 + 3 * dim + 9 * dim * (dim - 1) // 2
+        assert all(sorted(set(col)) == list(GRID_COORDS) for col in zip(*grid))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import random
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from arenscalc import algebra, semantics, suites, tensor
+from arenscalc.derivation import tally_rows
 from arenscalc.expr import ExprAst, parse
 from arenscalc.suites import (
     CHAIN_GROUPS,
@@ -17,8 +21,9 @@ from arenscalc.suites import (
     run_factorization_suite,
     run_adjoint_pairing,
     run_group_fixture_suite,
+    run_slice_bridge_suite,
 )
-from arenscalc.tensor import prepared, random_map, realize
+from arenscalc.tensor import prepared, random_map, realize, vector
 
 
 def test_catalog_is_well_formed():
@@ -318,6 +323,78 @@ def test_pairing_failure_details_are_pinned(monkeypatch):
     ))
     _, (row,) = run_adjoint_pairing(7, instances=4, dims=(3, 1, 2, 2))
     assert row[1:] == (False, "1/4 instances; failing instances: 0, 1, 3")
+
+
+def _counting(monkeypatch, module, name):
+    """Count the calls of ``module.name`` into the returned list."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_pairing_realizes_the_adjoint_once_per_shape(monkeypatch):
+    applied = []
+
+    def counting(word, arity):
+        fold = prepared(word, arity)
+        return lambda m: applied.append(m.instances) or fold(m)
+
+    monkeypatch.setattr(suites, "prepared", counting)
+    _, (row,) = run_adjoint_pairing(5, dims=(2, 2, 2, 2))
+    assert row == ("pairing identity on all basis tuples", True, "200/200 instances")
+    assert sorted(applied) == [59, 65, 76]  # one stack per arity, all of shape 2x...x2
+    applied.clear()
+    assert run_adjoint_pairing(5, instances=40)[1][0][1]
+    assert sum(applied) == 40 and len(applied) < 40  # one stack per shape drawn
+
+
+def _bridge_rows_pair_by_pair(seed, pairs, dims):
+    """The slice bridge section restated: the suite's draws (each map, then
+    its functional), one ``slice_bridge_check`` per pair."""
+    rng, results = random.Random(seed), []
+    for _ in range(pairs):
+        f = suites._rand_tri(rng, dims)
+        wstar = vector(tuple(rng.randint(-9, 9) for _ in range(f.codomain_dim)))
+        results += algebra.slice_bridge_check(f, wstar)[1]
+    return "Bilinear slice bridge", tuple(tally_rows(results, f"{pairs}/{pairs} pairs"))
+
+
+@pytest.mark.parametrize("word", ["f^{s*}", "f^{s******}", "f^{r****r}"])
+def test_slice_bridge_suite_gives_the_pair_by_pair_rows(monkeypatch, perturb_realized, word):
+    calls = _counting(monkeypatch, suites, "slice_bridge_check")
+    assert run_slice_bridge_suite(3, 6, (2, 2, 2, 2)) == _bridge_rows_pair_by_pair(3, 6, (2, 2, 2, 2))
+    assert [f.instances for f, _ in calls] == [6]  # one stack, one functional per instance
+    calls.clear()
+    perturb_realized(word)
+    got = run_slice_bridge_suite(3, 6, (2, 2, 2, 2))
+    assert got == _bridge_rows_pair_by_pair(3, 6, (2, 2, 2, 2))
+    assert [ok for _, ok, _ in got[1]].count(False) == 1
+    assert [f.instances for f, _ in calls] == [6, 1, 1, 1, 1, 1, 1]  # the stack, then each pair
+
+
+def test_slice_bridge_suite_checks_mixed_shapes_pair_by_pair(monkeypatch):
+    calls = _counting(monkeypatch, suites, "slice_bridge_check")
+    assert run_slice_bridge_suite(3, 8) == _bridge_rows_pair_by_pair(3, 8, None)
+    assert len(calls) == 8 and all(f.instances == 1 for f, _ in calls)
+
+
+def test_slice_bridge_suite_with_no_pairs_gives_three_passing_rows():
+    assert run_slice_bridge_suite(3, 0, (2, 2, 2, 2)) == ("Bilinear slice bridge", tuple(
+        (label, True, "0/0 pairs") for label in algebra.BRIDGE_ROWS
+    ))
+
+
+def test_mixed_shape_report_is_pinned():
+    # dims=None draws maps of many shapes, which no stack can hold
+    text = render_report(full_suite(seed=0, dims=None), "dims=None")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1eeb02c4150f20ccc579ebfd91dc7b848346e47adcff2421bb74c238a19b0129"
+    )
 
 
 # every word in the operation alphabet realizes to a well-formed tensor
