@@ -410,8 +410,11 @@ def test_nested_check_fails_where_the_evaluate_scan_does(data):
 
     def draw(name, dims, cod, zero=False):
         size = cod * prod(dims)
-        vals = [0] * size if zero else data.draw(st.lists(NESTED_ENTRIES, min_size=size, max_size=size))
-        return MultiMap(name, len(dims), dims, cod, default_labels(len(dims)), tuple(map(Fraction, vals)))
+        vals = [0] * size if zero else data.draw(
+            st.lists(NESTED_ENTRIES, min_size=size, max_size=size)
+        )
+        labels = default_labels(len(dims))
+        return MultiMap(name, len(dims), dims, cod, labels, tuple(map(Fraction, vals)))
 
     f = draw("f", (dx, dy, dz), dl)
     inner = draw("m", (dx, dy), dz, zero=data.draw(st.booleans(), label="zero inner"))

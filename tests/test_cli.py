@@ -543,6 +543,9 @@ def test_report_default_bytes_are_pinned(tmp_path, capsys):
         # the sweep and the chain is one stack of one shape
         ("9 --dims 3,2,2,2", "b665dcd6458fc1f4df970a550929720f"),
         ("13 --dims 1,3,2,2", "954f6cbcf0ea9928254fdb3d464cee08"),
+        # larger stacks: 300 instances per chain word pair, factorization
+        # role and slice bridge
+        ("21 --trials 40 --instances 300", "721002ddd64aae7973b481c5fbbbada0"),
     ],
 )
 def test_report_bytes_are_pinned_at_more_seeds(tmp_path, capsys, args, md5):

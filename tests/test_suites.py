@@ -366,13 +366,13 @@ def _bridge_rows_pair_by_pair(seed, pairs, dims):
 
 @pytest.mark.parametrize("word", ["f^{s*}", "f^{s******}", "f^{r****r}"])
 def test_slice_bridge_suite_gives_the_pair_by_pair_rows(monkeypatch, perturb_realized, word):
-    calls = _counting(monkeypatch, suites, "slice_bridge_check")
-    assert run_slice_bridge_suite(3, 6, (2, 2, 2, 2)) == _bridge_rows_pair_by_pair(3, 6, (2, 2, 2, 2))
+    calls, dims = _counting(monkeypatch, suites, "slice_bridge_check"), (2, 2, 2, 2)
+    assert run_slice_bridge_suite(3, 6, dims) == _bridge_rows_pair_by_pair(3, 6, dims)
     assert [f.instances for f, _ in calls] == [6]  # one stack, one functional per instance
     calls.clear()
     perturb_realized(word)
-    got = run_slice_bridge_suite(3, 6, (2, 2, 2, 2))
-    assert got == _bridge_rows_pair_by_pair(3, 6, (2, 2, 2, 2))
+    got = run_slice_bridge_suite(3, 6, dims)
+    assert got == _bridge_rows_pair_by_pair(3, 6, dims)
     assert [ok for _, ok, _ in got[1]].count(False) == 1
     assert [f.instances for f, _ in calls] == [6, 1, 1, 1, 1, 1, 1]  # the stack, then each pair
 
