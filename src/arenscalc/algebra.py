@@ -27,7 +27,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from .semantics import ARENS_FLIPS, extension_expr
+from .semantics import ARENS_FLIPS, default_labels, extension_expr
 from .tensor import (
     DimensionMismatch,
     IdentityReport,
@@ -42,7 +42,7 @@ from .tensor import (
     slice_slot,
     vector,
 )
-from .tensor import _contract_last, _fractions, _integers, _slice, _slot_last
+from .tensor import _checked, _contract_last, _fractions, _integers, _slice, _slot_last
 
 
 class InvalidCayleyTable(Exception):
@@ -175,16 +175,15 @@ def group_algebra(t: CayleyTable) -> tuple[AlgebraModel, MultiMap]:
     The product sends basis deltas to the delta of the group product; the
     triple map convolves three arguments at once.
     """
-    n = t.order
-    pi = from_function(
-        "pi", (n, n), n, lambda l, i, j: 1 if t.product(i, j) == l else 0
-    )
-    triple = from_function(
-        "conv3",
-        (n, n, n),
-        n,
-        lambda l, i, j, k: 1 if t.product(t.product(i, j), k) == l else 0,
-    )
+    n, rows = t.order, t.table
+    # pi[ij; i, j] = conv3[(ij)k; i, j, k] = 1, read off the table, not composed from pi
+    prod2, prod3 = [0] * n**3, [0] * n**4
+    for i, j in product(range(n), repeat=2):
+        prod2[(rows[i][j] * n + i) * n + j] = 1
+        for k, l in enumerate(rows[rows[i][j]]):
+            prod3[((l * n + i) * n + j) * n + k] = 1
+    pi = _checked("pi", (n, n), n, default_labels(2), None, lane=(prod2, 1))
+    triple = _checked("conv3", (n, n, n), n, default_labels(3), None, lane=(prod3, 1))
     model = AlgebraModel(
         n, pi, basis_vector(n, t.identity), tuple(f"g{k}" for k in range(n))
     )

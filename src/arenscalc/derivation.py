@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     BanachModuleModel,
@@ -43,6 +44,8 @@ from .tensor import (
     ShapeMismatch,
     _checked,
     _first_mismatch_block,
+    _fractions,
+    _scaled_sum,
     basis_vector,
     compose_into_slot,
     default_labels,
@@ -325,11 +328,12 @@ def leibniz_sum(module: BanachModuleModel, delta: MultiMap, name: str) -> MultiM
         raise ShapeMismatch("sum form needs the algebra acting on itself")
     n = alg.dim
     triple = compose_into_slot(alg.multiplication, alg.multiplication, 1)  # (ab)c
-    terms = [compose_into_slot(triple, delta, k).entries for k in (1, 2, 3)]
-    return MultiMap(
-        name, 3, (n, n, n), n, default_labels(3),
-        tuple(u + v + w for u, v, w in zip(*terms)),
-    )
+    terms = [compose_into_slot(triple, delta, k).lane for k in (1, 2, 3)]
+    den = lcm(*(d for _, d in terms))
+    lane = (_scaled_sum(terms, den), den)
+    if len(lane[0]) != n**4:  # a delta of the wrong shape: refused with MultiMap's message
+        return MultiMap(name, 3, (n, n, n), n, default_labels(3), tuple(_fractions(*lane)))
+    return _checked(name, (n, n, n), n, default_labels(3), None, lane=lane)
 
 
 def _poly3_euler() -> TriDerivationCandidate:
@@ -365,11 +369,9 @@ def _matrix2_inner() -> TriDerivationCandidate:
     pi = model.multiplication
     m = basis_vector(4, 1)  # E12
     # the inner derivation a -> E12.a - a.E12
-    left, right = slice_slot(pi, 1, m), slice_slot(pi, 2, m)
-    inner = MultiMap(
-        "ad", 1, (4,), 4, default_labels(1),
-        tuple(u - v for u, v in zip(left.entries, right.entries)),
-    )
+    (u, d), (v, e) = slice_slot(pi, 1, m).lane, slice_slot(pi, 2, m).lane
+    lane = ([a * e - b * d for a, b in zip(u, v)], d * e)
+    inner = _checked("ad", (4,), 4, default_labels(1), None, lane=lane)
     D = leibniz_sum(mod, inner, "D")
     return TriDerivationCandidate("matrix2-inner", D, mod)
 

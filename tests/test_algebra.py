@@ -142,6 +142,20 @@ def test_triple_map_is_stacked_product():
     assert equal(triple, stacked).equal
 
 
+@pytest.mark.parametrize("name", GROUP_FIXTURES)
+def test_group_tables_match_the_entrywise_oracle(name):
+    t = cayley_fixture(name)
+    n = t.order
+    want_pi = from_function("pi", (n, n), n, lambda l, i, j: 1 if t.product(i, j) == l else 0)
+    want_conv3 = from_function(
+        "conv3", (n, n, n), n, lambda l, i, j, k: 1 if t.product(t.product(i, j), k) == l else 0
+    )
+    model, triple = group_algebra(t)
+    for got, want in ((model.multiplication, want_pi), (triple, want_conv3)):
+        assert got == want
+        assert got.lane == want.lane  # the lane the kernels read, held from the build
+
+
 def test_group_model_validates():
     for name in GROUP_FIXTURES:
         model, _ = group_algebra(cayley_fixture(name))

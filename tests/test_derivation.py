@@ -36,9 +36,11 @@ from arenscalc.derivation import (
 from arenscalc.semantics import ARENS_FLIPS
 from arenscalc.tensor import (
     MultiMap,
+    ShapeMismatch,
     adjoint,
     basis_vector,
     compose_into_slot,
+    default_labels,
     evaluate,
     from_function,
     slice_slot,
@@ -143,6 +145,34 @@ def test_degree_weighted_candidate_is_nonzero():
 
 # ---------------------------------------------------------------------------
 # rejected candidates, with pinned first witnesses (lexicographic scan)
+
+
+def test_leibniz_sum_is_the_entrywise_sum_of_its_three_compositions():
+    model, euler = truncated_poly_algebra(3)
+    mod = regular_module(model)
+    thirds = from_function("thirds", (3,), 3, lambda l, k: Fraction(l - 2 * k, 3 + k))
+    triple = compose_into_slot(model.multiplication, model.multiplication, 1)
+    for delta in (euler, thirds):
+        terms = [compose_into_slot(triple, delta, k).entries for k in (1, 2, 3)]
+        want = MultiMap("D", 3, (3, 3, 3), 3, default_labels(3),
+                        tuple(u + v + w for u, v, w in zip(*terms)))
+        got = leibniz_sum(mod, delta, "D")
+        assert got == want
+        assert got.lane == want.lane
+    assert any(e.denominator > 1 for e in leibniz_sum(mod, thirds, "D").entries)
+    narrow = from_function("narrow", (2,), 3, lambda l, k: l + k)
+    with pytest.raises(ShapeMismatch, match=r"^D: 54 entries for shape \(3, 3, 3, 3\)$"):
+        leibniz_sum(mod, narrow, "D")
+
+
+def test_matrix2_inner_fixture_is_the_sum_of_its_inner_derivation():
+    model = matrix_algebra(2)
+    pi, m = model.multiplication, basis_vector(4, 1)
+    left, right = slice_slot(pi, 1, m), slice_slot(pi, 2, m)
+    inner = MultiMap("ad", 1, (4,), 4, default_labels(1),
+                     tuple(u - v for u, v in zip(left.entries, right.entries)))
+    want = leibniz_sum(regular_module(model), inner, "D")
+    assert derivation_fixture("matrix2-inner").tri_map == want
 
 
 def test_sum_form_fails_on_unital_algebra():

@@ -673,6 +673,45 @@ def test_random_map_matches_entrywise_build():
         assert all(type(e) is Fraction for e in got.entries)
 
 
+@pytest.mark.parametrize("arity, dims, cod, message", [
+    (0, (), 2, "f: arity 0 vs input dims ()"),
+    (2, (2, 2, 2), 2, "f: arity 2 vs input dims (2, 2, 2)"),
+    (2, (2, 0), 2, "f: dims must be positive: (2, 2, 0)"),
+    (2, (-1, -1), 2, "f: dims must be positive: (2, -1, -1)"),
+    (1, (2,), 0, "f: dims must be positive: (0, 2)"),
+])
+def test_random_map_refuses_a_bad_shape_as_the_map_does(arity, dims, cod, message):
+    with pytest.raises(ShapeMismatch) as drawn:
+        random_map(arity, dims, cod, seed=0)
+    assert str(drawn.value) == message
+    with pytest.raises(ShapeMismatch) as built:
+        MultiMap("f", arity, dims, cod, default_labels(len(dims)), ())
+    assert str(built.value) == message
+
+
+def test_a_drawn_map_is_the_validated_map():
+    for arity in (1, 2, 3, 4):
+        f = random_map(arity, (2, 3, 1, 2)[:arity], 3, seed=arity, name="g")
+        g = MultiMap("g", arity, f.input_dims, f.codomain_dim, f.axis_labels, f.entries)
+        assert f == g
+        assert (hash(f), repr(f)) == (hash(g), repr(g))
+
+
+def test_from_function_keeps_every_result_exact_and_shares_integers():
+    results = (
+        lambda l, i: l - 2 * i,
+        lambda l, i: l == i,
+        lambda l, i: Fraction(l + 1, i + 2),
+        lambda l, i: (l + 1) / (i + 3),
+    )
+    for fn in results:
+        got = from_function("h", (3,), 2, fn)
+        assert got.entries == tuple(Fraction(fn(*idx)) for idx in _basis_tuples((2, 3)))
+        assert all(type(e) is Fraction and type(e.numerator) is int for e in got.entries)
+    a, b = (from_function(name, (3,), 2, results[0]) for name in "ab")
+    assert all(x is y for x, y in zip(a.entries, b.entries))
+
+
 def test_permutation_plan_reused_across_maps_of_one_shape():
     shape = (2, 3, 1, 4)
     axes = (2, 0, 3, 1)
@@ -749,6 +788,11 @@ def test_stacks_refuse_mixed_shapes_and_counts():
         stack([f, adjoint(adjoint(f))])
     with pytest.raises(ShapeMismatch, match="stacks of 2 vs 1 maps"):
         equal(stack([f, f]), f)
+
+
+def test_an_empty_stack_is_refused():
+    with pytest.raises(ShapeMismatch, match="^a stack needs at least one map$"):
+        stack([])
 
 
 def test_single_map_readers_refuse_stacks():
