@@ -18,7 +18,6 @@ mismatch in millions of entries marks a bookkeeping bug.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from itertools import chain
 
 from .algebra import (
@@ -39,6 +38,7 @@ from .derivation import (
     is_tri_derivation,
     tally_rows,
 )
+from .derivation import _poly3_euler, _poly3_module, _structure, _zero
 from .semantics import (
     EXTENSION_FLIPS,
     UNCOND_EQUAL,
@@ -54,9 +54,9 @@ from .tensor import (
     from_function,
     prepared,
     random_map,
-    stack,
     vector,
 )
+from .tensor import _draw, _split
 
 
 GOLDEN_ORDERS = {
@@ -114,6 +114,7 @@ CHAIN_GROUPS = (
 )
 
 _DIM_CHOICES = (1, 2, 3)
+CHUNK = 256  # the most instances drawn and checked as one stack: bounds memory, not rows
 
 Dims = tuple[int, ...] | None
 Section = tuple[str, tuple[Row, ...]]  # (title, rows)
@@ -125,9 +126,16 @@ def _pick_dims(rng: random.Random, count: int, fixed: Dims) -> tuple[int, ...]:
     return (fixed * count)[:count]  # the fixed dims, repeated as needed
 
 
-def _rand_tri(rng: random.Random, fixed: Dims = None):
+def _tri(rng: random.Random, fixed: Dims = None) -> tuple:
+    """A tri-linear role ``f`` as ``(arity, input_dims, codomain_dim, name)``, its dims picked."""
     dx, dy, dz, dw = _pick_dims(rng, 4, fixed)
-    return random_map(3, (dx, dy, dz), dw, seed=rng.randrange(1 << 30))
+    return 3, (dx, dy, dz), dw, "f"
+
+
+def _drawn(rng: random.Random, n: int, roles) -> list[MultiMap]:
+    """The next ``n`` instances, one stack per role; each draws one seed per role, in order."""
+    seeds = [[rng.randrange(1 << 30) for _ in roles] for _ in range(n)]
+    return [_draw(col, *role) for role, col in zip(roles, zip(*seeds))]
 
 
 def _disagree(maps) -> str:
@@ -140,14 +148,18 @@ def _disagree(maps) -> str:
     return ""
 
 
-def _failures(check, *roles: Sequence[MultiMap]) -> list:
-    """``(k, check(*instance k of every role))`` for each failing instance,
-    where ``check`` takes one map per role and gives something false on a
-    pass: as one stack per role when each role's maps share a shape, and
-    instance by instance only if that fails."""
-    if {len({m.shape for m in maps}) for maps in roles} == {1} and not check(*map(stack, roles)):
-        return []
-    return [(k, bad) for k, ms in enumerate(zip(*roles)) if (bad := check(*ms))]
+def _failures(check, count: int, dims: Dims, draw) -> list:
+    """``(k, check(*instance k of every role))`` for each failing instance
+    k < ``count``, where ``check`` takes one map per role and gives
+    something false on a pass.  ``draw(n)`` draws the next n instances as
+    one stack per role: ``CHUNK`` at a time at fixed dims, one at a time
+    otherwise; a stack that fails is checked again instance by instance."""
+    failures, step = [], CHUNK if dims is not None else 1
+    for k in range(0, count, step):
+        if check(*(stacks := draw(min(step, count - k)))):
+            singles = enumerate(zip(*map(_split, stacks)), k)
+            failures += [(j, bad) for j, ms in singles if (bad := check(*ms))]
+    return failures
 
 
 def run_limit_order_goldens() -> Section:
@@ -172,8 +184,8 @@ def run_symbolic_suite() -> Section:
 
 def run_extension_sweep(seed: int, trials: int = 100, dims: Dims = None) -> Section:
     rng = random.Random(seed)
-    maps = [_rand_tri(rng, dims) for _ in range(trials)]
-    failures = _failures(lambda f: _disagree(extensions(f, EXTENSION_FLIPS).values()), maps)
+    failures = _failures(lambda f: _disagree(extensions(f, EXTENSION_FLIPS).values()), trials,
+                         dims, lambda n: _drawn(rng, n, [_tri(rng, dims)]))
     detail = f"{trials - len(failures)}/{trials} trials"
     if failures:
         detail += "; first failure: trial %d: %s" % failures[0]
@@ -188,8 +200,8 @@ def run_chain_suite(seed: int, instances: int = 25, dims: Dims = None) -> Sectio
     for group, pairs in CHAIN_GROUPS:
         for lhs_text, rhs_text in pairs:
             lhs, rhs = prepared(lhs_text, 3), prepared(rhs_text, 3)
-            maps = [_rand_tri(rng, dims) for _ in range(instances)]
-            bad = _failures(lambda f: _disagree((lhs(f), rhs(f))), maps)
+            bad = _failures(lambda f: _disagree((lhs(f), rhs(f))), instances, dims,
+                            lambda n: _drawn(rng, n, [_tri(rng, dims)]))
             detail = "instance %d: %s" % bad[0] if bad else f"{instances}/{instances} instances"
             rows.append((f"[{group}] {lhs_text} = {rhs_text}", not bad, detail))
     return "Proof-chain identities", tuple(rows)
@@ -210,15 +222,11 @@ def run_factorization_suite(seed: int, instances: int = 25, dims: Dims = None) -
     t5, t4s, a5, a6 = (prepared(word, 3) for word in words)
     h3 = prepared("h^{***}", 1)
 
-    def draw():
+    def draw(n):
         dx, dy, dz, dw, ds = _pick_dims(rng, 5, dims)
-        return (
-            random_map(3, (dx, ds, dz), dw, seed=rng.randrange(1 << 30), name="g"),
-            random_map(1, (dy,), ds, seed=rng.randrange(1 << 30), name="h"),
-            random_map(3, (dx, ds, ds), dw, seed=rng.randrange(1 << 30), name="c"),
-            random_map(1, (dy,), ds, seed=rng.randrange(1 << 30), name="h1"),
-            random_map(1, (dz,), ds, seed=rng.randrange(1 << 30), name="h2"),
-        )
+        return _drawn(rng, n, [(3, (dx, ds, dz), dw, "g"), (1, (dy,), ds, "h"),
+                               (3, (dx, ds, ds), dw, "c"), (1, (dy,), ds, "h1"),
+                               (1, (dz,), ds, "h2")])
 
     def check(g, h, core, h1, h2):
         """The failing ``(label, False, detail)`` results of one instance or stack."""
@@ -235,7 +243,7 @@ def run_factorization_suite(seed: int, instances: int = 25, dims: Dims = None) -
         ))
         return [(label, False, rep.render()) for label, rep in reps if not rep.equal]
 
-    failures = _failures(check, *zip(*(draw() for _ in range(instances))))
+    failures = _failures(check, instances, dims, draw)
     results = (result for _, bad in failures for result in bad)
     rows = tally_rows(results, f"{instances}/{instances} instances", labels)
     return "Factorization through a linear map", tuple(rows)
@@ -243,14 +251,18 @@ def run_factorization_suite(seed: int, instances: int = 25, dims: Dims = None) -
 
 def run_slice_bridge_suite(seed: int, pairs: int = 25, dims: Dims = None) -> Section:
     rng = random.Random(seed)
-    maps, functionals = [], []
-    # each map, then its functional, as a map to the scalars: stacked, end to end
-    for _ in range(pairs):
-        maps.append(f := _rand_tri(rng, dims))
-        w = vector(tuple(rng.randint(-9, 9) for _ in range(f.codomain_dim)))
-        functionals.append(MultiMap("w", 1, (len(w),), 1, ("out", "in1"), w))
+
+    def draw(n):  # each map's seed, then its functional, as a map to the scalars
+        arity, input_dims, cod, name = _tri(rng, dims)
+        seeds, ws = [], []
+        for _ in range(n):
+            seeds.append(rng.randrange(1 << 30))
+            ws += (rng.randint(-9, 9) for _ in range(cod))
+        return (_draw(seeds, arity, input_dims, cod, name),
+                MultiMap("w", 1, (cod,), 1, ("out", "in1"), vector(ws), n))
+
     failures = _failures(lambda f, w: [row for row in slice_bridge_check(f, w.entries)[1]
-                                       if not row[1]], maps, functionals)
+                                       if not row[1]], pairs, dims, draw)
     results = (result for _, bad in failures for result in bad)
     return "Bilinear slice bridge", tuple(tally_rows(results, f"{pairs}/{pairs} pairs", BRIDGE_ROWS))
 
@@ -299,16 +311,16 @@ def run_group_fixture_suite(names=GROUP_FIXTURES) -> Section:
 
 def run_derivation_suite() -> Section:
     rows = []
-    for name in ("zero", "poly3-euler"):
-        cand = derivation_fixture(name)
-        rep = is_tri_derivation(cand)
-        rows.append((f"{name}: slot identities hold", rep.holds, rep.render()))
+    poly3 = _poly3_module()  # built once for both candidates on it
+    for cand in (_zero(poly3), _poly3_euler(poly3)):
+        s = _structure(cand)  # the compositions every check below reads
+        rows.append((f"{cand.name}: slot identities hold", s.report.holds, s.report.render()))
         for title, checks in (
-            ("fourth-adjoint harness", fourth_adjoint_check(cand)),
-            ("composite extension statements", composite_extension_checks(cand)),
+            ("fourth-adjoint harness", fourth_adjoint_check(s)),
+            ("composite extension statements", composite_extension_checks(s)),
         ):
             rows.append((
-                f"{name}: {title} ({len(checks)} checks)",
+                f"{cand.name}: {title} ({len(checks)} checks)",
                 all(ok for _, ok, _ in checks),
                 "; ".join(lbl for lbl, ok, _ in checks if not ok) or "all passed",
             ))
@@ -321,12 +333,6 @@ def run_derivation_suite() -> Section:
 
 def run_adjoint_pairing(seed: int, instances: int = 200, dims: Dims = None) -> Section:
     rng = random.Random(seed)
-    groups: dict[tuple[int, ...], list] = {}  # shape -> its (instance, map) pairs
-    for k in range(instances):
-        arity = rng.choice((1, 2, 3))
-        picked = _pick_dims(rng, arity + 1, dims)
-        f = random_map(arity, picked[:arity], picked[arity], seed=rng.randrange(1 << 30))
-        groups.setdefault(f.shape, []).append((k, f))
 
     def fails(f):
         fstar = prepared("f^{*}", f.arity)(f)  # the adjoint the package itself uses
@@ -338,8 +344,17 @@ def run_adjoint_pairing(seed: int, instances: int = 200, dims: Dims = None) -> S
                                              for o in range(0, len(f.entries), size) for i in range(d)))
         return fstar.shape != (d,) + f.shape[:-1] or fstar.entries != expected
 
-    failures = sorted(ks[j] for ks, maps in (zip(*g) for g in groups.values())
-                      for j, _ in _failures(fails, maps))
+    failures = []
+    for start in range(0, instances, CHUNK):
+        groups: dict[tuple, list] = {}  # input dims, then codomain -> its (instance, seed) pairs
+        for k in range(start, min(start + CHUNK, instances)):
+            picked = _pick_dims(rng, rng.choice((1, 2, 3)) + 1, dims)
+            groups.setdefault(picked, []).append((k, rng.randrange(1 << 30)))
+        for picked, drawn in groups.items():
+            ks, seeds = zip(*drawn)
+            if fails(f := _draw(seeds, len(picked) - 1, picked[:-1], picked[-1])):
+                failures += (k for k, one in zip(ks, _split(f)) if fails(one))
+    failures.sort()
     detail = f"{instances - len(failures)}/{instances} instances"
     if failures:
         detail += "; failing instances: " + ", ".join(map(str, failures[:5]))

@@ -35,10 +35,13 @@ axis; a single map is a stack of one.  ``transpose``, so every realizer,
 moves the axes of all instances in one gather, and ``equal`` compares two
 stacks in one tuple comparison, mostly of shared objects, and scans for the
 first mismatch, indexed within its instance, only if that fails.  Two
-stacks of one count compose instance by instance.  A caller whose stack
-fails checks its maps again one by one, so a witness is a single map's.
-What reads one map (``evaluate``, ``slice_slot``, ``entry``, ``to_dict``)
-refuses a stack; ``_slice`` slices a stack at one vector per instance.
+stacks of one count compose instance by instance.  ``_draw`` draws a
+stack from one seed per instance, each instance the ``random_map`` of its
+seed (``random_map`` is its one-seed case).  A caller whose stack fails
+checks its maps again one by one, from ``_split``, so a witness is a
+single map's.  What reads one map (``evaluate``, ``slice_slot``,
+``entry``, ``to_dict``) refuses a stack; ``_slice`` slices a stack at one
+vector per instance.
 
 All entries are ``fractions.Fraction`` and all checks are exact; a float
 read from a map file is its exact binary value.
@@ -421,17 +424,31 @@ def random_map(arity, input_dims, codomain_dim, seed, name="f") -> MultiMap:
     """Deterministic random integer-entried map for a given seed; entries
     are ``rng.randint(-9, 9)`` draws in row-major order, read from the top
     bytes of one ``getrandbits`` call.  Built unchecked, unless ``MultiMap`` refuses the shape."""
-    rng, dims = random.Random(seed), tuple(input_dims)
+    return _draw((seed,), arity, input_dims, codomain_dim, name)
+
+
+def _draw(seeds, arity, input_dims, codomain_dim, name="f") -> MultiMap:
+    """One stack of maps of one shape, instance k the ``random_map`` of ``seeds[k]``."""
+    dims = tuple(input_dims)
     if arity < 1 or len(dims) != arity or min(dims + (codomain_dim,)) < 1:
         return MultiMap(name, arity, dims, codomain_dim, default_labels(len(dims)), ())
-    size = codomain_dim * prod(dims)
-    draws = b""
-    while len(draws) < size:
-        words = 2 * (size - len(draws))
-        top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
-        draws += top.translate(None, _REJECTED)
-    entries = tuple(map(_DRAWN.__getitem__, draws[:size]))
-    return _checked(name, dims, codomain_dim, default_labels(arity), entries)
+    size, kept = codomain_dim * prod(dims), []
+    for seed in seeds:
+        rng, draws = random.Random(seed), b""
+        while len(draws) < size:
+            words = 2 * (size - len(draws))
+            top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+            draws += top.translate(None, _REJECTED)
+        kept.append(draws[:size])
+    entries = tuple(map(_DRAWN.__getitem__, b"".join(kept)))
+    return _checked(name, dims, codomain_dim, default_labels(arity), entries, len(kept))
+
+
+def _split(m: MultiMap) -> list[MultiMap]:
+    """The maps of a stack, one by one."""
+    size = len(m.entries) // m.instances
+    return [_checked(m.name, m.input_dims, m.codomain_dim, m.axis_labels, m.entries[o:o + size])
+            for o in range(0, len(m.entries), size)]
 
 
 def compose_into_slot(outer: MultiMap, inner: MultiMap, slot: int, name=None) -> MultiMap:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -19,7 +21,9 @@ from arenscalc.algebra import (
     regular_module,
     truncated_poly_algebra,
 )
+import arenscalc.algebra as algebra_module
 import arenscalc.derivation as derivation_module
+import arenscalc.tensor as tensor_module
 from arenscalc.derivation import (
     FIXTURE_NAMES,
     _family,
@@ -34,6 +38,7 @@ from arenscalc.derivation import (
     right_action_composite,
 )
 from arenscalc.semantics import ARENS_FLIPS
+from arenscalc.suites import run_derivation_suite
 from arenscalc.tensor import (
     MultiMap,
     ShapeMismatch,
@@ -41,6 +46,7 @@ from arenscalc.tensor import (
     basis_vector,
     compose_into_slot,
     default_labels,
+    equal,
     evaluate,
     from_function,
     slice_slot,
@@ -568,7 +574,7 @@ def test_extensions_keep_every_axis_and_entry_in_place(name):
 
 def test_fourth_adjoint_checks_the_candidates_own_structure_once(monkeypatch):
     cand = derivation_fixture("poly3-euler")  # its build validates its structure
-    calls = {"is_tri_derivation": 0, "AlgebraModel": 0, "BanachModuleModel": 0}
+    calls = {"_structure": 0, "AlgebraModel": 0, "BanachModuleModel": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -576,13 +582,61 @@ def test_fourth_adjoint_checks_the_candidates_own_structure_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(derivation_module, "is_tri_derivation",
-                        counted("is_tri_derivation", is_tri_derivation))
+    monkeypatch.setattr(derivation_module, "_structure",
+                        counted("_structure", derivation_module._structure))
     for cls in (AlgebraModel, BanachModuleModel):
         monkeypatch.setattr(cls, "validate", counted(cls.__name__, cls.validate))
     rows = fourth_adjoint_check(cand)
     assert all(ok for _, ok, _ in rows)
-    assert calls == {"is_tri_derivation": 1, "AlgebraModel": 0, "BanachModuleModel": 0}
+    # the candidate's compositions, built once: D^{****} is D position for
+    # position, so its slot rows read the candidate's own slot report
+    assert calls == {"_structure": 1, "AlgebraModel": 0, "BanachModuleModel": 0}
+
+
+def test_a_fourth_adjoint_permuted_by_position_is_checked_on_its_own(monkeypatch):
+    # D^{****} comes out as D with its codomain and first input swapped,
+    # labels and all: equal to D under label alignment, not position for
+    # position, so its slot rows must not be the candidate's
+    cand = derivation_fixture("poly3-euler")
+    real = tensor_module.transpose
+    swapped = real(cand.tri_map, (1, 0, 2, 3))
+    assert swapped.entries != cand.tri_map.entries and equal(swapped, cand.tri_map).equal
+
+    def transpose(m, new_axes, name=None, labels=None):
+        out = real(m, new_axes, name=name, labels=labels)
+        return real(out, (1, 0, 2, 3), name=name) if name == "D^{****}" else out
+
+    monkeypatch.setattr(tensor_module, "transpose", transpose)
+    want = is_tri_derivation(cand._replace(tri_map=swapped))
+    assert not want.holds and is_tri_derivation(cand).holds
+    assert fourth_adjoint_check(cand)[:3] == [
+        ("fourth adjoint reproduces the candidate", True, "PASS  D^{****} == D"),
+        ("fourth adjoint is again a derivation (first product)", False, want.render()),
+        ("fourth adjoint is again a derivation (second product)", False, want.render()),
+    ]
+
+
+def test_derivation_section_composes_each_candidate_once(monkeypatch):
+    callers = Counter()
+
+    def counting(real):
+        def compose_into_slot(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):  # a comprehension: its function
+                frame = frame.f_back
+            callers[frame.f_code.co_name] += 1
+            return real(*args, **kwargs)
+        return compose_into_slot
+
+    for module in (algebra_module, derivation_module, tensor_module):
+        monkeypatch.setattr(module, "compose_into_slot", counting(module.compose_into_slot))
+    _, rows = run_derivation_suite()
+    assert all(ok for _, ok, _ in rows)
+    # fixture builds: structure laws, the product rule, the Leibniz sum
+    fixtures = {"validate", "_check_product_rule", "compose_codomain", "leibniz_sum"}
+    # the right and left actions composed into D and D composed with the
+    # product in each slot, once for each of the four candidates
+    assert {k: n for k, n in callers.items() if k not in fixtures} == {"_structure": 20}
 
 
 def test_fourth_adjoint_slot_checks_read_the_fourth_adjoint(perturb_realized):

@@ -358,7 +358,8 @@ def _bridge_rows_pair_by_pair(seed, pairs, dims):
     its functional), one ``slice_bridge_check`` per pair."""
     rng, results = random.Random(seed), []
     for _ in range(pairs):
-        f = suites._rand_tri(rng, dims)
+        dx, dy, dz, dw = suites._pick_dims(rng, 4, dims)
+        f = random_map(3, (dx, dy, dz), dw, seed=rng.randrange(1 << 30))
         wstar = vector(tuple(rng.randint(-9, 9) for _ in range(f.codomain_dim)))
         results += algebra.slice_bridge_check(f, wstar)[1]
     return "Bilinear slice bridge", tuple(tally_rows(results, f"{pairs}/{pairs} pairs"))

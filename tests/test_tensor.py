@@ -9,7 +9,7 @@ from operator import mul
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import arenscalc.tensor as tensor_module
 from arenscalc.expr import ExprAst, parse
@@ -695,6 +695,39 @@ def test_a_drawn_map_is_the_validated_map():
         g = MultiMap("g", arity, f.input_dims, f.codomain_dim, f.axis_labels, f.entries)
         assert f == g
         assert (hash(f), repr(f)) == (hash(g), repr(g))
+
+
+# a map of one entry keeps the top byte of two 32-bit words per round, so
+# a seed whose first rounds are all rejected runs the draw loop again: at
+# seed 263 the fifth round keeps the first byte
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda arity: st.tuples(
+        st.just(arity), st.lists(st.integers(1, 4), min_size=arity, max_size=arity),
+        st.integers(1, 4))),
+    st.lists(st.integers(0, (1 << 30) - 1), min_size=1, max_size=30),
+)
+@example((1, [1], 1), [0, 263, (1 << 30) - 1])
+@example((3, [1, 1, 1], 1), [263] * 3 + [0])
+def test_a_stack_draw_is_the_stack_of_single_draws(shape, seeds):
+    arity, dims, cod = shape
+    singles = [random_map(arity, dims, cod, seed=s, name="g") for s in seeds]
+    want = stack(singles)
+    got = tensor_module._draw(seeds, arity, dims, cod, "g")
+    assert got == want
+    assert hash(got) == hash(want)
+    assert (got.lane, got.axis_labels) == (want.lane, want.axis_labels)
+    assert tensor_module._split(got) == singles
+    assert [m.lane for m in tensor_module._split(got)] == [m.lane for m in singles]
+
+
+def test_a_stack_draw_refuses_a_bad_shape_as_a_single_draw_does():
+    for arity, dims, cod in ((0, (), 2), (2, (2, 2, 2), 2), (2, (-1, -1), 2), (1, (2,), 0)):
+        with pytest.raises(ShapeMismatch) as drawn:
+            tensor_module._draw([1, 2], arity, dims, cod)
+        with pytest.raises(ShapeMismatch) as single:
+            random_map(arity, dims, cod, seed=1)
+        assert str(drawn.value) == str(single.value)
 
 
 def test_from_function_keeps_every_result_exact_and_shares_integers():
