@@ -42,7 +42,7 @@ from .tensor import (
     slice_slot,
     vector,
 )
-from .tensor import _checked, _contract_last, _fractions, _integers, _slice, _slot_last
+from .tensor import _checked, _contract_last, _fractions, _integers, _single, _slice, _slot_last
 
 
 class InvalidCayleyTable(Exception):
@@ -375,7 +375,7 @@ def nested_bilinear_check(
             f"candidate {candidate.shape} does not match {f.shape}"
         )
     # lanes with slot 1 last; each grid vector scaled once, each map sliced at x once
-    lanes = [_slot_last(m, 1) for m in (f, inner, candidate)]
+    lanes = [_slot_last(_single(m), 1) for m in (f, inner, candidate)]
     grid_y = [(y, *_integers(y)) for y in sample_grid(f.input_dims[1])]
     for x in sample_grid(f.input_dims[0]):
         xs, e = _integers(x)

@@ -305,10 +305,11 @@ def fourth_adjoint_check(cand: TriDerivationCandidate) -> list[Row]:
 
     roles = ("product", "left action", "right action")  # one name for all three on A acting on A
     structure = (mod.algebra.multiplication, mod.left_action, mod.right_action)
+    # both extensions of each distinct map once; on a regular module all three are one object
+    exts = {k: extensions(m, ARENS_FLIPS) for k, m in {id(m): m for m in structure}.items()}
     ext_rep = None
     for tag, lead in zip(("first", "second"), ARENS_FLIPS):
-        exts = [extensions(m, (lead,))[lead] for m in structure]
-        reps = zip(roles, map(equal, exts, structure))
+        reps = zip(roles, (equal(exts[id(m)][lead], m) for m in structure))
         changed = [f"{role}: {r.render()}" for role, r in reps if not r.equal]
         if changed:
             rows.append((f"extended structure ({tag} product)", False, changed[0]))

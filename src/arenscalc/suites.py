@@ -56,7 +56,7 @@ from .tensor import (
     random_map,
     vector,
 )
-from .tensor import _draw, _split
+from .tensor import _draw
 
 
 GOLDEN_ORDERS = {
@@ -127,15 +127,9 @@ def _pick_dims(rng: random.Random, count: int, fixed: Dims) -> tuple[int, ...]:
 
 
 def _tri(rng: random.Random, fixed: Dims = None) -> tuple:
-    """A tri-linear role ``f`` as ``(arity, input_dims, codomain_dim, name)``, its dims picked."""
+    """The next tri-linear ``f`` as ``(roles, parts)``: its dims picked, then its seed drawn."""
     dx, dy, dz, dw = _pick_dims(rng, 4, fixed)
-    return 3, (dx, dy, dz), dw, "f"
-
-
-def _drawn(rng: random.Random, n: int, roles) -> list[MultiMap]:
-    """The next ``n`` instances, one stack per role; each draws one seed per role, in order."""
-    seeds = [[rng.randrange(1 << 30) for _ in roles] for _ in range(n)]
-    return [_draw(col, *role) for role, col in zip(roles, zip(*seeds))]
+    return ((3, (dx, dy, dz), dw, "f"),), (rng.randrange(1 << 30),)
 
 
 def _disagree(maps) -> str:
@@ -148,18 +142,31 @@ def _disagree(maps) -> str:
     return ""
 
 
-def _failures(check, count: int, dims: Dims, draw) -> list:
-    """``(k, check(*instance k of every role))`` for each failing instance
-    k < ``count``, where ``check`` takes one map per role and gives
-    something false on a pass.  ``draw(n)`` draws the next n instances as
-    one stack per role: ``CHUNK`` at a time at fixed dims, one at a time
-    otherwise; a stack that fails is checked again instance by instance."""
-    failures, step = [], CHUNK if dims is not None else 1
-    for k in range(0, count, step):
-        if check(*(stacks := draw(min(step, count - k)))):
-            singles = enumerate(zip(*map(_split, stacks)), k)
-            failures += [(j, bad) for j, ms in singles if (bad := check(*ms))]
-    return failures
+def _stacks(roles, parts) -> list[MultiMap]:
+    """One stack per role, instance k of role r the ``random_map`` of seed ``parts[k][r]``."""
+    return [_draw(seeds, *role) for role, seeds in zip(roles, zip(*parts))]
+
+
+def _failures(check, count: int, draw, build=_stacks) -> list:
+    """``(k, check(*instance k))`` for each failing instance k < ``count``,
+    in order, where ``check`` gives something false on a pass.  ``draw()``
+    draws the next instance as ``(roles, parts)``: the roles, each
+    ``(arity, input_dims, codomain_dim, name)``, and what it is built from,
+    one seed per role by default.  ``CHUNK`` instances at a time are
+    grouped by roles, and ``build(roles, parts)`` builds each group into
+    the arguments of one ``check``; a group that fails is built and checked
+    again instance by instance, from its own parts."""
+    failures = []
+    for start in range(0, count, CHUNK):
+        groups: dict[tuple, list] = {}  # roles -> their (instance, parts) pairs, in order
+        for k in range(start, min(start + CHUNK, count)):
+            roles, parts = draw()
+            groups.setdefault(roles, []).append((k, parts))
+        for roles, drawn in groups.items():
+            if check(*build(roles, [parts for _, parts in drawn])):
+                singles = ((k, check(*build(roles, [parts]))) for k, parts in drawn)
+                failures += [(k, bad) for k, bad in singles if bad]
+    return sorted(failures)  # instances are unique, so the order is theirs
 
 
 def run_limit_order_goldens() -> Section:
@@ -185,7 +192,7 @@ def run_symbolic_suite() -> Section:
 def run_extension_sweep(seed: int, trials: int = 100, dims: Dims = None) -> Section:
     rng = random.Random(seed)
     failures = _failures(lambda f: _disagree(extensions(f, EXTENSION_FLIPS).values()), trials,
-                         dims, lambda n: _drawn(rng, n, [_tri(rng, dims)]))
+                         lambda: _tri(rng, dims))
     detail = f"{trials - len(failures)}/{trials} trials"
     if failures:
         detail += "; first failure: trial %d: %s" % failures[0]
@@ -200,8 +207,8 @@ def run_chain_suite(seed: int, instances: int = 25, dims: Dims = None) -> Sectio
     for group, pairs in CHAIN_GROUPS:
         for lhs_text, rhs_text in pairs:
             lhs, rhs = prepared(lhs_text, 3), prepared(rhs_text, 3)
-            bad = _failures(lambda f: _disagree((lhs(f), rhs(f))), instances, dims,
-                            lambda n: _drawn(rng, n, [_tri(rng, dims)]))
+            bad = _failures(lambda f: _disagree((lhs(f), rhs(f))), instances,
+                            lambda: _tri(rng, dims))
             detail = "instance %d: %s" % bad[0] if bad else f"{instances}/{instances} instances"
             rows.append((f"[{group}] {lhs_text} = {rhs_text}", not bad, detail))
     return "Proof-chain identities", tuple(rows)
@@ -222,11 +229,11 @@ def run_factorization_suite(seed: int, instances: int = 25, dims: Dims = None) -
     t5, t4s, a5, a6 = (prepared(word, 3) for word in words)
     h3 = prepared("h^{***}", 1)
 
-    def draw(n):
+    def draw():
         dx, dy, dz, dw, ds = _pick_dims(rng, 5, dims)
-        return _drawn(rng, n, [(3, (dx, ds, dz), dw, "g"), (1, (dy,), ds, "h"),
-                               (3, (dx, ds, ds), dw, "c"), (1, (dy,), ds, "h1"),
-                               (1, (dz,), ds, "h2")])
+        roles = ((3, (dx, ds, dz), dw, "g"), (1, (dy,), ds, "h"), (3, (dx, ds, ds), dw, "c"),
+                 (1, (dy,), ds, "h1"), (1, (dz,), ds, "h2"))
+        return roles, tuple(rng.randrange(1 << 30) for _ in roles)
 
     def check(g, h, core, h1, h2):
         """The failing ``(label, False, detail)`` results of one instance or stack."""
@@ -243,7 +250,7 @@ def run_factorization_suite(seed: int, instances: int = 25, dims: Dims = None) -
         ))
         return [(label, False, rep.render()) for label, rep in reps if not rep.equal]
 
-    failures = _failures(check, instances, dims, draw)
+    failures = _failures(check, instances, draw)
     results = (result for _, bad in failures for result in bad)
     rows = tally_rows(results, f"{instances}/{instances} instances", labels)
     return "Factorization through a linear map", tuple(rows)
@@ -252,17 +259,16 @@ def run_factorization_suite(seed: int, instances: int = 25, dims: Dims = None) -
 def run_slice_bridge_suite(seed: int, pairs: int = 25, dims: Dims = None) -> Section:
     rng = random.Random(seed)
 
-    def draw(n):  # each map's seed, then its functional, as a map to the scalars
-        arity, input_dims, cod, name = _tri(rng, dims)
-        seeds, ws = [], []
-        for _ in range(n):
-            seeds.append(rng.randrange(1 << 30))
-            ws += (rng.randint(-9, 9) for _ in range(cod))
-        return (_draw(seeds, arity, input_dims, cod, name),
-                MultiMap("w", 1, (cod,), 1, ("out", "in1"), vector(ws), n))
+    def draw():  # the map's seed, then its functional's values
+        roles, parts = _tri(rng, dims)
+        return roles, parts + (vector(rng.randint(-9, 9) for _ in range(roles[0][2])),)
 
-    failures = _failures(lambda f, w: [row for row in slice_bridge_check(f, w.entries)[1]
-                                       if not row[1]], pairs, dims, draw)
+    def build(roles, parts):  # the maps as one stack, then their functionals end to end
+        seeds, ws = zip(*parts)
+        return _draw(seeds, *roles[0]), tuple(chain.from_iterable(ws))
+
+    failures = _failures(lambda f, w: [row for row in slice_bridge_check(f, w)[1] if not row[1]],
+                         pairs, draw, build)
     results = (result for _, bad in failures for result in bad)
     return "Bilinear slice bridge", tuple(tally_rows(results, f"{pairs}/{pairs} pairs", BRIDGE_ROWS))
 
@@ -344,17 +350,11 @@ def run_adjoint_pairing(seed: int, instances: int = 200, dims: Dims = None) -> S
                                              for o in range(0, len(f.entries), size) for i in range(d)))
         return fstar.shape != (d,) + f.shape[:-1] or fstar.entries != expected
 
-    failures = []
-    for start in range(0, instances, CHUNK):
-        groups: dict[tuple, list] = {}  # input dims, then codomain -> its (instance, seed) pairs
-        for k in range(start, min(start + CHUNK, instances)):
-            picked = _pick_dims(rng, rng.choice((1, 2, 3)) + 1, dims)
-            groups.setdefault(picked, []).append((k, rng.randrange(1 << 30)))
-        for picked, drawn in groups.items():
-            ks, seeds = zip(*drawn)
-            if fails(f := _draw(seeds, len(picked) - 1, picked[:-1], picked[-1])):
-                failures += (k for k, one in zip(ks, _split(f)) if fails(one))
-    failures.sort()
+    def draw():
+        picked = _pick_dims(rng, rng.choice((1, 2, 3)) + 1, dims)  # input dims, then codomain
+        return ((len(picked) - 1, picked[:-1], picked[-1], "f"),), (rng.randrange(1 << 30),)
+
+    failures = [k for k, _ in _failures(fails, instances, draw)]
     detail = f"{instances - len(failures)}/{instances} instances"
     if failures:
         detail += "; failing instances: " + ", ".join(map(str, failures[:5]))

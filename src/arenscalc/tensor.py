@@ -37,11 +37,10 @@ stacks in one tuple comparison, mostly of shared objects, and scans for the
 first mismatch, indexed within its instance, only if that fails.  Two
 stacks of one count compose instance by instance.  ``_draw`` draws a
 stack from one seed per instance, each instance the ``random_map`` of its
-seed (``random_map`` is its one-seed case).  A caller whose stack fails
-checks its maps again one by one, from ``_split``, so a witness is a
-single map's.  What reads one map (``evaluate``, ``slice_slot``,
-``entry``, ``to_dict``) refuses a stack; ``_slice`` slices a stack at one
-vector per instance.
+seed (``random_map`` is its one-seed case).  What reads one map
+(``evaluate``, ``slice_slot``, ``entry``, ``to_dict``, and the law check
+``_first_mismatch_block``) refuses a stack; ``_slice`` slices a stack at
+one vector per instance.
 
 All entries are ``fractions.Fraction`` and all checks are exact; a float
 read from a map file is its exact binary value.
@@ -402,7 +401,8 @@ def _first_mismatch_block(inputs: str, lhs, rhs) -> tuple[int, ...] | None:
         for m, names in terms:
             axes = tuple(1 + names.index(v) for v in inputs) + (0,)
             shapes.add(tuple(m.shape[a] for a in axes))
-            side.append((_permute(m.lane[0], m.shape, axes), m.lane[1]))
+            ints, den = _single(m).lane
+            side.append((_permute(ints, m.shape, axes), den))
     if len(shapes) != 1:
         raise ShapeMismatch(f"terms of one identity disagree in shape: {sorted(shapes)}")
     (shape,) = shapes
@@ -442,13 +442,6 @@ def _draw(seeds, arity, input_dims, codomain_dim, name="f") -> MultiMap:
         kept.append(draws[:size])
     entries = tuple(map(_DRAWN.__getitem__, b"".join(kept)))
     return _checked(name, dims, codomain_dim, default_labels(arity), entries, len(kept))
-
-
-def _split(m: MultiMap) -> list[MultiMap]:
-    """The maps of a stack, one by one."""
-    size = len(m.entries) // m.instances
-    return [_checked(m.name, m.input_dims, m.codomain_dim, m.axis_labels, m.entries[o:o + size])
-            for o in range(0, len(m.entries), size)]
 
 
 def compose_into_slot(outer: MultiMap, inner: MultiMap, slot: int, name=None) -> MultiMap:

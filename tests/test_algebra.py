@@ -695,3 +695,31 @@ def test_structure_messages_are_pinned():
     )
     bad = BanachModuleModel(mod.algebra, 4, mod.left_action, bad_right)
     assert _error(bad.validate) == _ref_module_error(bad) == "right module law fails at (2, 1, 1)"
+
+
+def test_structure_law_checks_refuse_a_stack_in_either_order():
+    # a stack of a lawful and an unlawful map is refused whichever comes
+    # first, as every other reader of one map refuses it
+    zero = from_function("pi", (3, 3), 3, lambda *_: 0)
+    nonassoc = from_function("pi", (3, 3), 3, lambda l, a, b: (a, b, l) == (0, 1, 1))
+    with pytest.raises(InvalidAlgebra, match="associativity fails"):
+        AlgebraModel(3, nonassoc, None, ("a", "b", "c")).validate()
+    one_map = "a stack of 2 maps, where one map is needed"
+    for pair in ([zero, nonassoc], [nonassoc, zero]):
+        with pytest.raises(tensor.ShapeMismatch, match=one_map):
+            AlgebraModel(3, tensor.stack(pair), None, ("a", "b", "c")).validate()
+    model = truncated_poly_algebra(3)[0]
+    pi = model.multiplication
+    stacked = model._replace(multiplication=tensor.stack([pi, pi]))
+    for pair in ([pi, nonassoc], [nonassoc, pi]):
+        for left, right in ((tensor.stack(pair), stacked.multiplication),
+                            (stacked.multiplication, tensor.stack(pair))):
+            with pytest.raises(tensor.ShapeMismatch, match=one_map):
+                BanachModuleModel(stacked, 3, left, right).validate()
+
+
+def test_nested_check_refuses_a_stack():
+    f = tensor.random_map(3, (2, 2, 2), 2, seed=3)
+    m = from_function("m", (2, 2), 2, lambda *_: 0)
+    with pytest.raises(tensor.ShapeMismatch, match="a stack of 2 maps, where one map is needed"):
+        nested_bilinear_check(tensor.stack([f, f]), m, m)

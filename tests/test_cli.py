@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -16,6 +18,34 @@ from hypothesis import given, settings, strategies as st
 from arenscalc import cli, suites, tensor
 from arenscalc.cli import main
 from arenscalc.tensor import MultiMap, default_labels, random_map, save_map, to_dict
+
+# ---------------------------------------------------------------------------
+# the README's examples
+
+
+def _readme_examples():
+    """The README's ``$ arens parse/classify/check`` lines that read no
+    file, each as its arguments and the lines shown under it."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    examples, shown = [], None
+    for line in (line for block in blocks for line in block.splitlines()):
+        if line.startswith("$ "):
+            argv = shlex.split(line[2:])[1:]
+            shown = [] if argv[0] in ("parse", "classify", "check") and "--map" not in argv else None
+            examples += [(argv, shown)] if shown is not None else []
+        elif shown is not None:
+            shown.append(line)
+    return examples
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 5
+    for argv, shown in examples:
+        main(argv)
+        assert capsys.readouterr().out.splitlines() == shown, argv
+
 
 # ---------------------------------------------------------------------------
 # parse

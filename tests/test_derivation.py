@@ -593,6 +593,23 @@ def test_fourth_adjoint_checks_the_candidates_own_structure_once(monkeypatch):
     assert calls == {"_structure": 1, "AlgebraModel": 0, "BanachModuleModel": 0}
 
 
+def test_derivation_suite_extends_the_shared_product_once_per_harness(monkeypatch):
+    # on A acting on A the product and both actions are one map: each of
+    # the two candidates extends it once in the fourth-adjoint harness and
+    # once in the composite statements' right-action hypothesis
+    realized, real = Counter(), algebra_module.extensions
+
+    def extensions(m, leads):
+        realized.update(leads if m.name == "pi" else ())
+        return real(m, leads)
+
+    for module in (algebra_module, derivation_module):
+        monkeypatch.setattr(module, "extensions", extensions)
+    _, rows = run_derivation_suite()
+    assert all(ok for _, ok, _ in rows)
+    assert realized == {"": 4, "r": 4}
+
+
 def test_a_fourth_adjoint_permuted_by_position_is_checked_on_its_own(monkeypatch):
     # D^{****} comes out as D with its codomain and first input swapped,
     # labels and all: equal to D under label alignment, not position for

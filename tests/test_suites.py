@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import random
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,8 @@ from arenscalc.suites import (
     run_group_fixture_suite,
     run_slice_bridge_suite,
 )
-from arenscalc.tensor import prepared, random_map, realize, vector
+from arenscalc.semantics import EXTENSION_FLIPS
+from arenscalc.tensor import equal, prepared, random_map, realize, vector
 
 
 def test_catalog_is_well_formed():
@@ -382,6 +384,156 @@ def test_slice_bridge_suite_checks_mixed_shapes_pair_by_pair(monkeypatch):
     calls = _counting(monkeypatch, suites, "slice_bridge_check")
     assert run_slice_bridge_suite(3, 8) == _bridge_rows_pair_by_pair(3, 8, None)
     assert len(calls) == 8 and all(f.instances == 1 for f, _ in calls)
+
+
+def _tri_single(rng, dims):
+    """The suites' next tri-linear draw as one map: dims picked, then a seed."""
+    dx, dy, dz, dw = suites._pick_dims(rng, 4, dims)
+    return random_map(3, (dx, dy, dz), dw, seed=rng.randrange(1 << 30))
+
+
+def _sweep_trial_by_trial(seed, trials, dims):
+    rng, failures = random.Random(seed), []
+    for k in range(trials):
+        first, *others = algebra.extensions(_tri_single(rng, dims), EXTENSION_FLIPS).values()
+        reps = [rep for rep in (equal(first, other) for other in others) if not rep.equal]
+        failures += [f"trial {k}: {rep.render()}" for rep in reps[:1]]
+    detail = f"{trials - len(failures)}/{trials} trials"
+    detail += "; first failure: " + failures[0] if failures else ""
+    return "Six-extension sweep on random tensors", (
+        ("all six realized extensions coincide", not failures, detail),
+    )
+
+
+def _chain_instance_by_instance(seed, instances, dims):
+    rng, rows = random.Random(seed), []
+    for group, pairs in CHAIN_GROUPS:
+        for lhs, rhs in pairs:
+            bad = []
+            for k in range(instances):
+                f = _tri_single(rng, dims)
+                rep = equal(realize(parse(lhs), f), realize(parse(rhs), f))
+                bad += [] if rep.equal else [f"instance {k}: {rep.render()}"]
+            rows.append((f"[{group}] {lhs} = {rhs}", not bad,
+                         bad[0] if bad else f"{instances}/{instances} instances"))
+    return "Proof-chain identities", tuple(rows)
+
+
+_FACTOR_LABELS = (
+    "single-sided factor identity",
+    "single-sided pointwise form",
+    "two-sided first identity",
+    "two-sided second identity",
+    "two-sided construction consistency",
+)
+
+
+def _factorization_instance_by_instance(seed, instances, dims):
+    rng, results = random.Random(seed), []
+    t5, t4s, a5, a6, h3 = (parse(w) for w in
+                           ("f^{t*****}", "f^{t****s}", "f^{*****}", "f^{******}", "h^{***}"))
+    compose, post = tensor.compose_into_slot, tensor.compose_codomain
+    for _ in range(instances):
+        dx, dy, dz, dw, ds = suites._pick_dims(rng, 5, dims)
+        g, h, core, h1, h2 = (
+            random_map(arity, in_dims, cod, seed=rng.randrange(1 << 30), name=name)
+            for arity, in_dims, cod, name in (
+                (3, (dx, ds, dz), dw, "g"), (1, (dy,), ds, "h"), (3, (dx, ds, ds), dw, "c"),
+                (1, (dy,), ds, "h1"), (1, (dz,), ds, "h2"))
+        )
+        f, gg = compose(g, h, 2, name="f"), compose(core, h2, 3, name="g")
+        kk, f2 = compose(core, h1, 2, name="K"), compose(gg, h1, 2, name="f")
+        reps = (
+            equal(realize(t5, f), post(realize(h3, h), realize(t5, g))),
+            equal(realize(t4s, f), compose(realize(t4s, g), h, 2)),
+            equal(realize(a5, f2), post(realize(h3, h2), realize(a5, kk))),
+            equal(realize(a6, f2), post(realize(h3, h1), realize(a6, gg))),
+            equal(f2, compose(kk, h2, 3, name="f")),
+        )
+        results += [(label, rep.equal, rep.render()) for label, rep in zip(_FACTOR_LABELS, reps)]
+    rows = tally_rows(results, f"{instances}/{instances} instances", _FACTOR_LABELS)
+    return "Factorization through a linear map", tuple(rows)
+
+
+def _pairing_instance_by_instance(seed, instances, dims):
+    rng, failures = random.Random(seed), []
+    for k in range(instances):
+        picked = suites._pick_dims(rng, rng.choice((1, 2, 3)) + 1, dims)
+        f = random_map(len(picked) - 1, picked[:-1], picked[-1], seed=rng.randrange(1 << 30))
+        fstar = suites.prepared("f^{*}", f.arity)(f)  # as the suite binds it, broken or not
+        shape = f.shape[-1:] + f.shape[:-1]
+        want = tuple(f.entry(idx[1:] + idx[:1]) for idx in product(*map(range, shape)))
+        failures += [k] if fstar.shape != shape or fstar.entries != want else []
+    detail = f"{instances - len(failures)}/{instances} instances"
+    detail += "; failing instances: " + ", ".join(map(str, failures[:5])) if failures else ""
+    return "Adjoint pairing identity", (
+        ("pairing identity on all basis tuples", not failures, detail),
+    )
+
+
+def _perturb_odd(monkeypatch, *names):
+    """From then on, every realization named in ``names`` comes back with 1
+    added to entry 0 of each instance whose entry 0 is odd, whether it is
+    realized alone or as one instance of a stack."""
+    real = tensor.transpose
+
+    def transpose(m, new_axes, name=None, labels=None):
+        out = real(m, new_axes, name=name, labels=labels)
+        if name in names:
+            size, entries = len(out.entries) // out.instances, list(out.entries)
+            for k in range(0, len(entries), size):
+                entries[k] += entries[k] % 2
+            out = dataclasses.replace(out, entries=tuple(entries))
+        return out
+
+    monkeypatch.setattr(tensor, "transpose", transpose)
+
+
+# each random section, its restatement one instance at a time, how many
+# instances to draw and how to break it on some instances only
+_ONE_BY_ONE = {
+    "sweep": (run_extension_sweep, _sweep_trial_by_trial, 12,
+              lambda mp: _perturb_odd(mp, "f^{s****t}")),
+    "chain": (run_chain_suite, _chain_instance_by_instance, 5,
+              lambda mp: _perturb_odd(mp, "f^{s****t}", "f^{r***t}")),
+    "factorization": (run_factorization_suite, _factorization_instance_by_instance, 8,
+                      lambda mp: _perturb_odd(mp, "f^{t*****}", "K^{*****}")),
+    "bridge": (run_slice_bridge_suite, _bridge_rows_pair_by_pair, 8,
+               lambda mp: _perturb_odd(mp, "f^{s******}")),
+    "pairing": (run_adjoint_pairing, _pairing_instance_by_instance, 30, _break_adjoint),
+}
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), None])
+@pytest.mark.parametrize("section", sorted(_ONE_BY_ONE))
+def test_each_random_section_gives_the_one_by_one_rows(monkeypatch, section, dims, broken):
+    run, restated, count, breaks = _ONE_BY_ONE[section]
+    if broken:
+        breaks(monkeypatch)
+    got = run(5, count, dims)
+    assert got == restated(5, count, dims)
+    assert all(ok for _, ok, _ in got[1]) is not broken  # a break shows in some row
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), None])
+def test_a_smaller_chunk_gives_the_same_rows(monkeypatch, dims):
+    _perturb_odd(monkeypatch, "f^{s****t}", "f^{t*****}", "f^{s******}", "f^{r***t}")
+    want = full_suite(seed=2, trials=10, instances=7, dims=dims)
+    assert not all(ok for _, rows in want for _, ok, _ in rows)
+    monkeypatch.setattr(suites, "CHUNK", 3)
+    assert full_suite(seed=2, trials=10, instances=7, dims=dims) == want
+
+
+def test_instances_of_one_shape_are_checked_as_one_stack_at_any_dims(monkeypatch):
+    drawn, real = [], suites._draw
+    monkeypatch.setattr(suites, "_draw", lambda seeds, *role: drawn.append(len(seeds))
+                        or real(seeds, *role))
+    _, (row,) = run_extension_sweep(0, trials=100, dims=None)
+    assert row[1]
+    # the 100 maps have fewer shapes than maps: one draw per shape, one
+    # check per draw, each instance drawn once
+    assert sum(drawn) == 100 and max(drawn) > 1 and len(drawn) < 100
 
 
 def test_slice_bridge_suite_with_no_pairs_gives_three_passing_rows():

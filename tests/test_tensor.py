@@ -717,8 +717,6 @@ def test_a_stack_draw_is_the_stack_of_single_draws(shape, seeds):
     assert got == want
     assert hash(got) == hash(want)
     assert (got.lane, got.axis_labels) == (want.lane, want.axis_labels)
-    assert tensor_module._split(got) == singles
-    assert [m.lane for m in tensor_module._split(got)] == [m.lane for m in singles]
 
 
 def test_a_stack_draw_refuses_a_bad_shape_as_a_single_draw_does():
