@@ -15,7 +15,6 @@ from arenscalc.algebra import (
     GRID_COORDS,
     ConstraintViolated,
     InvalidAlgebra,
-    _check_product_rule,
     InvalidCayleyTable,
     cayley_fixture,
     extensions,
@@ -42,6 +41,8 @@ from arenscalc.tensor import (
     realize,
     vector,
 )
+
+from perturbation import perturb, perturbed_entries
 
 # a latin square with identity 0 that is not associative (order-5 loop);
 # t[t[1][1]][2] = 2 but t[1][t[1][2]] = 4
@@ -157,9 +158,12 @@ def test_group_tables_match_the_entrywise_oracle(name):
 
 
 def test_group_model_validates():
+    # the builders check nothing they build: every group fixture's
+    # algebra and regular module are checked here instead
     for name in GROUP_FIXTURES:
         model, _ = group_algebra(cayley_fixture(name))
         model.validate()
+        regular_module(model).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -506,25 +510,6 @@ def test_group_convolution_completely_regular(name):
 # perturbed by a nonzero rational, so the tensor equations must find the
 # same first failing tuple and give the same message.
 
-DELTAS = st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
-
-
-def _perturbed_entries(data, entries) -> tuple:
-    pos = data.draw(st.integers(-1, len(entries) - 1), label="perturbed position")
-    if pos < 0:
-        return tuple(entries)
-    out = list(entries)
-    out[pos] += data.draw(DELTAS, label="delta")
-    return tuple(out)
-
-
-def _perturb(data, m: MultiMap) -> MultiMap:
-    return MultiMap(
-        m.name, m.arity, m.input_dims, m.codomain_dim, m.axis_labels,
-        _perturbed_entries(data, m.entries),
-    )
-
-
 def _error(check) -> str | None:
     try:
         check()
@@ -638,10 +623,10 @@ def test_algebra_validate_matches_basis_scan(name, data):
     target = data.draw(st.sampled_from(("pi", "unit")), label="target")
     if target == "pi":
         model = AlgebraModel(
-            model.dim, _perturb(data, model.multiplication), model.unit, model.basis_names
+            model.dim, perturb(data, model.multiplication), model.unit, model.basis_names
         )
     else:
-        unit = _perturbed_entries(data, model.unit)
+        unit = perturbed_entries(data, model.unit)
         model = AlgebraModel(model.dim, model.multiplication, unit, model.basis_names)
     assert _error(model.validate) == _ref_algebra_error(model)
 
@@ -654,26 +639,30 @@ def test_module_validate_matches_basis_scan(name, data):
     target = data.draw(st.sampled_from(("pi", "left", "right")), label="target")
     pi, lact, ract = alg.multiplication, mod.left_action, mod.right_action
     if target == "pi":
-        pi = _perturb(data, pi)
+        pi = perturb(data, pi)
     elif target == "left":
-        lact = _perturb(data, lact)
+        lact = perturb(data, lact)
     else:
-        ract = _perturb(data, ract)
+        ract = perturb(data, ract)
     mod = BanachModuleModel(
         AlgebraModel(alg.dim, pi, alg.unit, alg.basis_names), mod.carrier_dim, lact, ract
     )
     assert _error(mod.validate) == _ref_module_error(mod)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 4), st.data())
-def test_product_rule_matches_basis_scan(n, data):
+@pytest.mark.parametrize("n", range(2, 7))
+def test_poly_fixtures_validate_and_obey_the_product_rule(n):
     model, delta = truncated_poly_algebra(n)
-    if data.draw(st.booleans(), label="perturb the product"):
-        pi = _perturb(data, model.multiplication)
-    else:
-        pi, delta = model.multiplication, _perturb(data, delta)
-    assert _error(lambda: _check_product_rule(pi, delta)) == _ref_product_rule_error(pi, delta)
+    model.validate()
+    regular_module(model).validate()
+    assert _ref_product_rule_error(model.multiplication, delta) is None
+
+
+@pytest.mark.parametrize("k", range(1, 4))
+def test_matrix_fixtures_validate(k):
+    model = matrix_algebra(k)
+    model.validate()
+    regular_module(model).validate()
 
 
 def test_structure_messages_are_pinned():

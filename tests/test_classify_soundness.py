@@ -17,12 +17,15 @@ import hashlib
 import json
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arenscalc.expr import ExprAst
-from arenscalc.semantics import DISTINCT, EQUAL_IFF, UNCOND_EQUAL, classify
+from arenscalc.semantics import (
+    DISTINCT, EQUAL_IFF, NOT_COMPARABLE, UNCOND_EQUAL, axis_semantics, classify,
+)
 from arenscalc.tensor import ShapeMismatch, equal, random_map, realize
 
 LETTERS = {1: "*", 2: "*r", 3: "*ijrts"}
@@ -109,3 +112,56 @@ def test_seeded_verdicts_are_pinned_and_sound():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert dict(kinds) == PINNED_KINDS
     assert digest == PINNED_SHA256
+
+
+# ---------------------------------------------------------------------------
+# every state of the fold
+#
+# A word's realization is the base map's axes in the fold's order, each
+# at its dual level, and a dual level enters only through its parity (a
+# label toggled or not).  So the states reachable with levels mod 2 are
+# all a realization can be, and each is realized by its shortest word.
+
+
+def _state(word: str, arity: int):
+    """Each slot's base axis and dual level mod 2, then the codomain's."""
+    asg = axis_semantics(ExprAst("f", tuple(word)), arity)
+    return (asg.slot_axes, tuple(lv % 2 for lv in asg.slot_levels),
+            asg.codomain_axis, asg.codomain_level % 2)
+
+
+def reachable_states(arity: int) -> dict:
+    """The shortest word to each state, breadth first over ``LETTERS[arity]``."""
+    words, frontier = {_state("", arity): ""}, [""]
+    while frontier:
+        grown = [word + op for word in frontier for op in LETTERS[arity]]
+        frontier = [word for word in grown if words.setdefault(_state(word, arity), word) == word]
+    return words
+
+
+# states, codomain axes among them, and the verdicts over all ordered pairs
+STATE_TALLIES = {
+    1: (2, 2, {UNCOND_EQUAL: 2, DISTINCT: 2}),
+    2: (6, 3, {UNCOND_EQUAL: 8, DISTINCT: 24, NOT_COMPARABLE: 4}),
+    3: (24, 4, {UNCOND_EQUAL: 54, DISTINCT: 432, NOT_COMPARABLE: 90}),
+}
+
+
+@pytest.mark.parametrize("arity", sorted(LETTERS))
+def test_every_state_compares_by_its_codomain_axis_alone(arity):
+    # two realizations are equal exactly when their codomain axes match,
+    # and classify calls DISTINCT exactly the pairs across codomain axes
+    states = reachable_states(arity)
+    realized = {s: realize(ExprAst("f", tuple(w)), BASES[arity]) for s, w in states.items()}
+    kinds = Counter()
+    for (left, lw), (right, rw) in product(states.items(), repeat=2):
+        same_axis = left[2] == right[2]
+        if same_axis:
+            assert equal(realized[left], realized[right]).equal, (lw, rw)
+        else:
+            with pytest.raises(ShapeMismatch):
+                equal(realized[left], realized[right])
+        kind = _verdict(arity, lw, rw).kind
+        assert (kind == DISTINCT) == (not same_axis), (lw, rw, kind)
+        kinds[kind] += 1
+    assert (len(states), len({s[2] for s in states}), dict(kinds)) == STATE_TALLIES[arity]

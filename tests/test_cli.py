@@ -23,11 +23,15 @@ from arenscalc.tensor import MultiMap, default_labels, random_map, save_map, to_
 # the README's examples
 
 
+def _readme_blocks(lang: str) -> list[str]:
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        return re.findall(rf"```{lang}\n(.*?)```", fh.read(), re.S)
+
+
 def _readme_examples():
     """The README's ``$ arens parse/classify/check`` lines that read no
     file, each as its arguments and the lines shown under it."""
-    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
-        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    blocks = _readme_blocks("sh")
     examples, shown = [], None
     for line in (line for block in blocks for line in block.splitlines()):
         if line.startswith("$ "):
@@ -45,6 +49,11 @@ def test_readme_examples_print_what_the_readme_shows(capsys):
     for argv, shown in examples:
         main(argv)
         assert capsys.readouterr().out.splitlines() == shown, argv
+
+
+def test_readme_library_example_runs():
+    (block,) = _readme_blocks("python")
+    exec(compile(block, "README.md", "exec"), {})
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,8 @@ from arenscalc.tensor import (
     vector,
 )
 
+from perturbation import perturb
+
 # ---------------------------------------------------------------------------
 # independent oracle for the degree-weighted fixture
 #
@@ -450,16 +452,6 @@ CANDIDATES["poly3-at-zero"] = _cubed_point_derivation()
 CANDIDATES["poly3-doubled"] = _doubled_euler()
 
 
-def _perturb(data, m: MultiMap) -> MultiMap:
-    pos = data.draw(st.integers(-1, len(m.entries) - 1), label="perturbed position")
-    entries = list(m.entries)
-    if pos >= 0:
-        entries[pos] += data.draw(
-            st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-2, 3))), label="delta"
-        )
-    return MultiMap(m.name, m.arity, m.input_dims, m.codomain_dim, m.axis_labels, tuple(entries))
-
-
 def test_fourth_adjoint_failure_details_are_pinned(perturb_realized):
     perturb_realized("D^{****}", "l^{***}", "r^{r***r}")
     rows = fourth_adjoint_check(CANDIDATES["poly3-at-zero"])
@@ -573,7 +565,7 @@ def test_extensions_keep_every_axis_and_entry_in_place(name):
 
 
 def test_fourth_adjoint_checks_the_candidates_own_structure_once(monkeypatch):
-    cand = derivation_fixture("poly3-euler")  # its build validates its structure
+    cand = derivation_fixture("poly3-euler")
     calls = {"_structure": 0, "AlgebraModel": 0, "BanachModuleModel": 0}
 
     def counted(key, fn):
@@ -649,8 +641,8 @@ def test_derivation_section_composes_each_candidate_once(monkeypatch):
         monkeypatch.setattr(module, "compose_into_slot", counting(module.compose_into_slot))
     _, rows = run_derivation_suite()
     assert all(ok for _, ok, _ in rows)
-    # fixture builds: structure laws, the product rule, the Leibniz sum
-    fixtures = {"validate", "_check_product_rule", "compose_codomain", "leibniz_sum"}
+    # the one fixture build that composes: matrix2-inner's Leibniz sum
+    fixtures = {"leibniz_sum"}
     # the right and left actions composed into D and D composed with the
     # product in each slot, once for each of the four candidates
     assert {k: n for k, n in callers.items() if k not in fixtures} == {"_structure": 20}
@@ -674,6 +666,15 @@ def test_fourth_adjoint_slot_checks_read_the_fourth_adjoint(perturb_realized):
     ]
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_structures_validate(name):
+    # the fixture builders check nothing; each candidate's algebra and
+    # module are checked here instead of in every report
+    mod = derivation_fixture(name).module
+    mod.algebra.validate()
+    mod.validate()
+
+
 @pytest.mark.parametrize("name", ["poly3-at-zero", "poly3-doubled"])
 def test_candidates_off_the_algebra_dim_hold(name):
     cand = CANDIDATES[name]
@@ -691,13 +692,13 @@ def test_slot_witnesses_match_basis_scan(name, data):
     D, pi, lact, ract = cand.tri_map, alg.multiplication, mod.left_action, mod.right_action
     target = data.draw(st.sampled_from(("D", "pi", "L", "R")), label="target")
     if target == "D":
-        D = _perturb(data, D)
+        D = perturb(data, D)
     elif target == "pi":
-        pi = _perturb(data, pi)
+        pi = perturb(data, pi)
     elif target == "L":
-        lact = _perturb(data, lact)
+        lact = perturb(data, lact)
     else:
-        ract = _perturb(data, ract)
+        ract = perturb(data, ract)
     alg = AlgebraModel(alg.dim, pi, alg.unit, alg.basis_names)
     cand = TriDerivationCandidate(
         cand.name, D, BanachModuleModel(alg, mod.carrier_dim, lact, ract)

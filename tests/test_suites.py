@@ -269,6 +269,21 @@ def test_second_full_suite_folds_only_in_classify(monkeypatch):
     assert callers == ["classify"] * 34  # every word of the package is prepared already
 
 
+def test_full_suite_validates_none_of_its_own_fixtures(monkeypatch):
+    # the package's fixtures are checked in the tests, not in every report
+    calls = {}
+    for cls in (algebra.AlgebraModel, algebra.BanachModuleModel):
+        calls[cls.__name__] = 0
+
+        def counting(self, real=cls.validate, key=cls.__name__):
+            calls[key] += 1
+            return real(self)
+
+        monkeypatch.setattr(cls, "validate", counting)
+    assert all(ok for _, rows in full_suite() for _, ok, _ in rows)
+    assert calls == {"AlgebraModel": 0, "BanachModuleModel": 0}
+
+
 def test_full_suite_runs_without_the_step_by_step_oracle(monkeypatch):
     def refuse(*args):
         raise AssertionError("the adjoint/flip oracle was called outside the tests")
