@@ -101,9 +101,6 @@ class ExprAst(namedtuple("ExprAst", "base ops", defaults=((),))):
             return self.base
         return f"{self.base}^{{{''.join(self.ops)}}}"
 
-    def adjoint_count(self) -> int:
-        return sum(1 for op in self.ops if op == ADJOINT)
-
 
 def _check_name(name: str) -> str:
     if not name:

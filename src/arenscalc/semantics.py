@@ -7,8 +7,9 @@ adjoint rotates the codomain axis into slot 1 and the last slot out to the
 codomain (both picking up a dual level); a flip permutes the slots.  The
 *axis assignment* records where each axis ended up and at what dual level.
 ``axis_semantics`` folds a word into it at any arity; ``tensor.realize``
-reads that fold.  Extension words are stated at every arity too; limit
-orders and the condition table are stated at arity 3.
+reads that fold.  Extension words are stated at every arity too; a limit
+order is read off the fold at the base arity, and the condition table
+stays at arity 3.
 
 The shape  flip p, four adjoints, flip q  is special: it extends the base map
 to the biduals, and the value is the iterated weak* limit
@@ -36,7 +37,6 @@ from .expr import (
     ExprAst,
     FLIP_LETTERS,
     FLIP_PERMS,
-    IDENTITY_PERM,
     PERM_NAMES,
     base_signature,
     compose_flips,
@@ -56,15 +56,10 @@ def default_labels(arity: int) -> tuple[str, ...]:
 del default_labels.__wrapped__  # the bench tracer reads a __wrapped__ as a wrapper left installed
 
 
-INPUT_AXES = default_labels(3)[1:]
 _UNMOVED: dict[int, tuple[tuple[str, int], ...]] = {}  # base axes at level 0, per arity
 
 Perm = tuple[int, ...]
-LimitOrder = tuple[str, str, str]
-
-
-def order_of_perm(perm: Perm) -> LimitOrder:
-    return tuple(INPUT_AXES[k] for k in perm)  # type: ignore[return-value]
+LimitOrder = tuple[str, ...]
 
 
 class AxisAssignment(
@@ -73,15 +68,6 @@ class AxisAssignment(
     """Base axis and dual level for every slot and for the codomain."""
 
     __slots__ = ()
-
-    def role_key(self):
-        """Collapsed comparison key: which axes are inputs at which parity,
-        plus the codomain axis and parity.  Slot order is deliberately not
-        part of the key; comparisons align slots by axis name."""
-        inputs = frozenset(
-            (axis, level % 2) for axis, level in zip(self.slot_axes, self.slot_levels)
-        )
-        return inputs, (self.codomain_axis, self.codomain_level % 2)
 
     def level_map(self) -> dict[str, int]:
         levels = dict(zip(self.slot_axes, self.slot_levels))
@@ -111,20 +97,19 @@ def axis_semantics(expr: ExprAst, base_arity: int = 3) -> AxisAssignment:
     )
 
 
-def limit_order(expr: ExprAst) -> LimitOrder | None:
+def limit_order(expr: ExprAst, base_arity: int = 3) -> LimitOrder | None:
     """Iterated limit order (outermost first) of a canonical extension.
 
-    Canonical means the operations are  flips, four adjoints, flips.
-    Leading flips compose into a single permutation p and the order is p
-    read in base-axis names; trailing flips only rename slots and do not
+    Canonical means the operations are  flips, four adjoints, flips.  The
+    order is the base axes that the leading flips put in slots 1, 2, ...,
+    read off ``axis_semantics`` at ``base_arity``, so it names each of the
+    map's input axes once; trailing flips only rename slots and do not
     affect the order.  Returns None for every other shape.
     """
     if "".join(expr.ops).strip(FLIP_LETTERS) != ADJOINT * 4:
         return None
-    lead: Perm = IDENTITY_PERM
-    for op in expr.ops[: expr.ops.index(ADJOINT)]:
-        lead = compose_flips(lead, FLIP_PERMS[op])
-    return order_of_perm(lead)
+    lead = ExprAst(expr.base, expr.ops[: expr.ops.index(ADJOINT)])
+    return axis_semantics(lead, base_arity).slot_axes
 
 
 # the leading flips of the canonical extensions ("" = no flip): the six
@@ -175,10 +160,11 @@ def _normalized_ops(expr: ExprAst, arity: int) -> tuple:
 
 
 # close-to-regularity of f^p, keyed by the unordered pair of limit orders of
-# the defining pair f^{t****s}, f^{s****t} conjugated by p ("" = identity)
+# the defining pair f^{t****s}, f^{s****t} conjugated by p ("" = identity):
+# the folds of the leading flips p t and p s
 _CTR_TABLE: dict[frozenset, str] = {
-    frozenset(order_of_perm(compose_flips(perm, FLIP_PERMS[q])) for q in "ts"): letter
-    for perm, letter in PERM_NAMES.items()
+    frozenset(axis_semantics(ExprAst("f", (*p, q))).slot_axes for q in "ts"): p
+    for p in EXTENSION_FLIPS
 }
 
 
@@ -218,9 +204,10 @@ def classify(left: ExprAst, right: ExprAst, base_arity: int = 3) -> Verdict:
 
     Comparisons are slot-order blind: maps are matched up by which base axis
     each slot draws from, so a trailing flip never separates two
-    expressions.  Dual levels are collapsed mod 2 when checking that the two
-    signatures live on the same spaces, but expressions whose uncollapsed
-    levels disagree are refused rather than conflated.
+    expressions.  With dual levels collapsed mod 2, two expressions live on
+    the same spaces exactly when the fold leaves the same base axis as their
+    codomain, so that alone separates DISTINCT pairs; expressions whose
+    uncollapsed levels disagree are refused rather than conflated.
     """
     sig_left = signature_of(left, base_signature(base_arity))
     sig_right = signature_of(right, base_signature(base_arity))
@@ -231,7 +218,7 @@ def classify(left: ExprAst, right: ExprAst, base_arity: int = 3) -> Verdict:
         )
     asg_left = axis_semantics(left, base_arity)
     asg_right = axis_semantics(right, base_arity)
-    if asg_left.role_key() != asg_right.role_key():
+    if asg_left.codomain_axis != asg_right.codomain_axis:
         return Verdict(
             DISTINCT,
             witness={
@@ -252,10 +239,10 @@ def classify(left: ExprAst, right: ExprAst, base_arity: int = 3) -> Verdict:
                 "right_levels": levels_right,
             },
         )
-    if left.adjoint_count() == 0 and right.adjoint_count() == 0:
+    if ADJOINT not in left.ops and ADJOINT not in right.ops:
         return Verdict(UNCOND_EQUAL, witness={"reason": "flips only; slots align by axis"})
-    order_left = limit_order(left)
-    order_right = limit_order(right)
+    order_left = limit_order(left, base_arity)
+    order_right = limit_order(right, base_arity)
     if order_left is not None and order_right is not None:
         if order_left == order_right:
             return Verdict(
@@ -310,7 +297,7 @@ def entails(premises, conclusion: tuple[LimitOrder, LimitOrder]) -> bool:
 
 def complete_regularity_premises() -> list[tuple[LimitOrder, LimitOrder]]:
     """Pairs asserting that all six extensions coincide."""
-    base = order_of_perm(IDENTITY_PERM)
+    base = limit_order(extension_expr(""))
     return [(base, order) for _, order in natural_extensions() if order != base]
 
 

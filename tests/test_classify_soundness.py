@@ -17,7 +17,7 @@ import hashlib
 import json
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from arenscalc.expr import ExprAst
 from arenscalc.semantics import (
     DISTINCT, EQUAL_IFF, NOT_COMPARABLE, UNCOND_EQUAL, axis_semantics, classify,
+    default_labels, limit_order,
 )
 from arenscalc.tensor import ShapeMismatch, equal, random_map, realize
 
@@ -95,9 +96,32 @@ def test_verdicts_hold_on_realized_maps(data):
     _check_sound(arity, left, right, _verdict(arity, left, right).kind)
 
 
+def _input_axes(arity: int) -> list[str]:
+    return sorted(default_labels(arity)[1:])
+
+
+def _four_adjoint_words(arity: int, length: int = 8):
+    """Every word of up to ``length`` letters with exactly four adjoints;
+    ``limit_order`` refuses any other adjoint count outright."""
+    flips = LETTERS[arity][1:]
+    for size in range(4, length + 1):
+        for stars in combinations(range(size), 4):
+            for fill in product(flips, repeat=size - 4):
+                rest = iter(fill)
+                yield tuple("*" if k in stars else next(rest) for k in range(size))
+
+
+@pytest.mark.parametrize("arity", sorted(LETTERS))
+def test_limit_orders_name_each_input_axis_of_the_map_once(arity):
+    orders = {limit_order(ExprAst("f", word), arity) for word in _four_adjoint_words(arity)}
+    orders.discard(None)
+    assert orders
+    assert all(sorted(order) == _input_axes(arity) for order in orders), orders
+
+
 # 3 000 pairs: the verdict of each, joined as lines of
 # arity, left, right, kind, condition and witness (JSON, sorted keys)
-PINNED_SHA256 = "bc12b8c37cda04f6d5a64e6f89e7abe5ce6c31d14915acdaf74bed2cd32ac866"
+PINNED_SHA256 = "b04dd31e9ea44a152677dbbb948309e591b8cfd897ad899a732e5e2e9b67f58c"
 PINNED_KINDS = {"UNCOND-EQUAL": 1014, "EQUAL-IFF": 283, "DISTINCT": 1098, "NOT-COMPARABLE": 605}
 
 
@@ -106,6 +130,9 @@ def test_seeded_verdicts_are_pinned_and_sound():
     for arity, left, right in word_pairs(2024, 3000):
         v = _verdict(arity, left, right)
         _check_sound(arity, left, right, v.kind)
+        for key in ("limit_order", "left_order", "right_order"):
+            if key in v.witness:
+                assert sorted(v.witness[key]) == _input_axes(arity), (arity, left, right)
         kinds[v.kind] += 1
         witness = json.dumps(v.witness, sort_keys=True)
         lines.append(f"{arity}\t{left}\t{right}\t{v.kind}\t{v.condition}\t{witness}")

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import random
 import sys
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -255,18 +256,20 @@ def test_factorization_suite_composes_once_per_role(monkeypatch):
     assert counts == [9, 9]  # six compositions and three through compose_codomain
 
 
-def test_second_full_suite_folds_only_in_classify(monkeypatch):
+def test_second_full_suite_folds_only_in_classify_and_limit_order(monkeypatch):
     full_suite()
-    callers = []
+    callers = Counter()
     real = semantics.axis_semantics
 
     def counting(expr, base_arity=3):
-        callers.append(sys._getframe(1).f_code.co_name)
+        callers[sys._getframe(1).f_code.co_name] += 1
         return real(expr, base_arity)
 
     monkeypatch.setattr(semantics, "axis_semantics", counting)
     assert all(ok for _, rows in full_suite() for _, ok, _ in rows)
-    assert callers == ["classify"] * 34  # every word of the package is prepared already
+    # every word of the package is prepared already, so no realizer folds;
+    # limit_order folds the leading flips of each canonical extension it reads
+    assert callers == {"classify": 34, "limit_order": 80}
 
 
 def test_full_suite_validates_none_of_its_own_fixtures(monkeypatch):
