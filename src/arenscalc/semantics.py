@@ -268,40 +268,6 @@ def classify_text(left: str, right: str, base_arity: int = 3) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# interchange-condition lattice
-
-
-def equality_classes(pairs) -> dict[LimitOrder, LimitOrder]:
-    """Union-find closure of asserted order equalities over the six orders."""
-    parent: dict[LimitOrder, LimitOrder] = {order: order for _, order in natural_extensions()}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return {order: find(order) for order in parent}
-
-
-def entails(premises, conclusion: tuple[LimitOrder, LimitOrder]) -> bool:
-    """Do the asserted interchanges force the concluded one?"""
-    classes = equality_classes(premises)
-    a, b = conclusion
-    return classes[a] == classes[b]
-
-
-def complete_regularity_premises() -> list[tuple[LimitOrder, LimitOrder]]:
-    """Pairs asserting that all six extensions coincide."""
-    base = limit_order(extension_expr(""))
-    return [(base, order) for _, order in natural_extensions() if order != base]
-
-
-# ---------------------------------------------------------------------------
 # flip-conjugation correspondences
 
 # conjugating close-to-regularity by a flip p turns the defining pair of
@@ -322,23 +288,18 @@ def flip_conjugation_checks(base: str = "f") -> tuple[tuple[str, bool, str], ...
     ``("flip {letter}: {a} vs {b}", ok, condition)``."""
     rows = []
     for letter, (lead_a, lead_b) in CONJUGATION_ITEMS:
-        pulled = (
-            ExprAst(base, (letter, "t", *ADJOINT * 4, "s")),
-            ExprAst(base, (letter, "s", *ADJOINT * 4, "t")),
-        )
-        pulled_orders = {limit_order(e) for e in pulled}
+        pulled = (ExprAst(base, (letter, p, *ADJOINT * 4, q)) for p, q in ("ts", "st"))
+        order_of_pulled = {e: limit_order(e) for e in pulled}
         stated = (extension_expr(lead_a, base), extension_expr(lead_b, base))
-        stated_orders = {limit_order(e) for e in stated}
-        verdict = classify(stated[0], stated[1])
-        expected = f"close-to-regular({base}^{letter})"
         stated_by_order = {limit_order(e): e for e in stated}
+        verdict = classify(stated[0], stated[1])
         ok = (
-            pulled_orders == stated_orders
+            set(order_of_pulled.values()) == stated_by_order.keys()
             and verdict.kind == EQUAL_IFF
-            and verdict.condition == expected
+            and verdict.condition == f"close-to-regular({base}^{letter})"
             and all(
-                classify(e, stated_by_order[limit_order(e)]).kind == UNCOND_EQUAL
-                for e in pulled
+                classify(e, stated_by_order[order]).kind == UNCOND_EQUAL
+                for e, order in order_of_pulled.items()
             )
         )
         rows.append((

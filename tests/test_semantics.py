@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arenscalc import semantics
 from arenscalc.expr import (
     FLIP_PERMS,
     IDENTITY_PERM,
@@ -24,9 +25,7 @@ from arenscalc.semantics import (
     axis_semantics,
     classify,
     classify_text,
-    complete_regularity_premises,
     condition_name,
-    entails,
     extension_expr,
     flip_conjugation_checks,
     limit_order,
@@ -201,33 +200,6 @@ def test_condition_name_direct():
 
 
 # ---------------------------------------------------------------------------
-# interchange lattice
-
-
-def _orders(*texts):
-    return [limit_order(parse(t)) for t in texts]
-
-
-def test_complete_regularity_entails_every_pair():
-    premises = complete_regularity_premises()
-    orders = [order for _, order in natural_extensions()]
-    for a in orders:
-        for b in orders:
-            assert entails(premises, (a, b))
-
-
-def test_two_anchored_conditions_entail_the_definition():
-    st_, ts, plain = _orders("f^{s****t}", "f^{t****s}", "f^{****}")
-    assert entails([(st_, plain), (ts, plain)], (st_, ts))
-
-
-def test_single_condition_does_not_collapse_everything():
-    st_, ts, plain = _orders("f^{s****t}", "f^{t****s}", "f^{****}")
-    assert not entails([(ts, plain)], (st_, ts))
-    assert not entails([], (st_, ts))
-
-
-# ---------------------------------------------------------------------------
 # conjugation correspondences
 
 
@@ -242,6 +214,31 @@ def test_flip_conjugation_checks():
     assert by_flip["r"][1] == "close-to-regular(f^r)"
     assert by_flip["t"][0] == ("f^{s****t}", "f^{****}")
     assert by_flip["s"][0] == ("f^{t****s}", "f^{****}")
+
+
+def _failing_rows(rows):
+    return {name.split(":")[0]: detail for name, ok, detail in rows if not ok}
+
+
+def test_flip_conjugation_checks_fail_on_a_swapped_condition_table(monkeypatch):
+    swap = {"i": "j", "j": "i"}
+    table = {pair: swap.get(letter, letter) for pair, letter in semantics._CTR_TABLE.items()}
+    monkeypatch.setattr(semantics, "_CTR_TABLE", table)
+    assert _failing_rows(flip_conjugation_checks()) == {
+        "flip i": "close-to-regular(f^j)",
+        "flip j": "close-to-regular(f^i)",
+    }
+
+
+def test_flip_conjugation_checks_fail_on_a_wrong_stated_pair(monkeypatch):
+    items = tuple(
+        (letter, ("i", "") if letter == "t" else pair)
+        for letter, pair in semantics.CONJUGATION_ITEMS
+    )
+    monkeypatch.setattr(semantics, "CONJUGATION_ITEMS", items)
+    assert _failing_rows(flip_conjugation_checks()) == {
+        "flip t": "limit-interchange((in1,in2,in3),(in2,in1,in3))",
+    }
 
 
 def test_classify_respects_equivalence_through_trailing_flips():

@@ -269,7 +269,7 @@ def test_second_full_suite_folds_only_in_classify_and_limit_order(monkeypatch):
     assert all(ok for _, rows in full_suite() for _, ok, _ in rows)
     # every word of the package is prepared already, so no realizer folds;
     # limit_order folds the leading flips of each canonical extension it reads
-    assert callers == {"classify": 34, "limit_order": 80}
+    assert callers == {"classify": 34, "limit_order": 60}
 
 
 def test_full_suite_validates_none_of_its_own_fixtures(monkeypatch):
