@@ -13,14 +13,14 @@ base axis it came from (``out``, ``in1``, ...), with a trailing ``*`` when
 the axis currently sits at odd dual level; comparisons align axes by label
 so that two realizations are compared slot-order blind.
 
-``_permute`` reorders axes by one gather through flat offsets, cached per
-(shape, axis order).  A word is realized as one permutation: ``realizer``
-folds it once, through ``semantics.axis_semantics``, into an axis order and
-dual levels, applied to a base map by one ``transpose``.
-``prepared(word, arity)`` is one bounded table of realizers for the
-package's own words, each folded once per process; ``realize`` folds on
-every call, for words from outside, never kept.  ``adjoint`` and ``flip``
-are the step-by-step test oracle.
+``_permute`` reorders axes by one ``itemgetter`` over the flat offsets of
+one instance, cached per (shape, axis order) and applied per instance.  A
+word is realized as one permutation: ``realizer`` folds it once, through
+``semantics.axis_semantics``, into an axis order and dual levels, applied to
+a base map by one ``transpose``.  ``prepared(word, arity)`` is one bounded
+table of realizers for the package's own words, each folded once per
+process; ``realize`` folds on every call, for words from outside, never
+kept.  ``adjoint`` and ``flip`` are the step-by-step test oracle.
 
 Every map has an integer lane ``(ints, den)``, its entries over one common
 denominator in lowest terms, which the contractions read.  A lane has two
@@ -32,15 +32,15 @@ draw, group table or fixture sum) skips validation; a transpose holds no lane.
 
 A stack is n maps of one shape laid end to end, with a leading instance
 axis; a single map is a stack of one.  ``transpose``, so every realizer,
-moves the axes of all instances in one gather, and ``equal`` compares two
-stacks in one tuple comparison, mostly of shared objects, and scans for the
-first mismatch, indexed within its instance, only if that fails.  Two
-stacks of one count compose instance by instance.  ``_draw`` draws a
-stack from one seed per instance, each instance the ``random_map`` of its
-seed (``random_map`` is its one-seed case).  What reads one map
-(``evaluate``, ``slice_slot``, ``entry``, ``to_dict``, and the law check
-``_first_mismatch_block``) refuses a stack; ``_slice`` slices a stack at
-one vector per instance.
+moves the axes of all instances by that one gather, and ``equal`` compares
+two stacks in one tuple comparison, mostly of shared objects, and scans for
+the first mismatch, indexed within its instance, only if that fails.  Two
+stacks of one count compose instance by instance.  ``_draw`` draws a stack
+from one seed per instance, each instance the ``random_map`` of its seed
+(``random_map`` is its one-seed case).  What reads one map (``evaluate``,
+``slice_slot``, ``entry``, ``to_dict``, and the law check
+``_first_mismatch_block``) refuses a stack; ``_slice`` slices a stack at one
+vector per instance.
 
 All entries are ``fractions.Fraction`` and all checks are exact; a float
 read from a map file is its exact binary value.
@@ -51,7 +51,6 @@ from __future__ import annotations
 import os
 import random
 import re
-from array import array
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -59,7 +58,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, compress, count, islice, product, starmap
 from math import lcm, prod
-from operator import add, ne
+from operator import add, itemgetter, ne
 from stat import S_ISREG
 
 from . import semantics
@@ -177,16 +176,17 @@ def stack(maps: Sequence[MultiMap]) -> MultiMap:
 
 
 @lru_cache(maxsize=512)
-def _plan(shape: tuple[int, ...], new_axes: tuple[int, ...], n: int) -> array:
-    """Flat offsets that read ``n`` row-major tensors of ``shape`` in ``new_axes`` order."""
+def _plan(shape: tuple[int, ...], new_axes: tuple[int, ...]) -> Callable[[Sequence], tuple]:
+    """A gather that reads one row-major tensor of ``shape`` in ``new_axes`` order."""
     strides = [1] * len(shape)
     for k in range(len(shape) - 1, 0, -1):
         strides[k - 1] = strides[k] * shape[k]
-    offs = list(range(0, n * prod(shape), prod(shape)))
+    offs = [0]
     for a in new_axes:
-        stride, size = strides[a], shape[a]
-        offs = [o + i * stride for o in offs for i in range(size)]
-    return array("q", offs)
+        offs = [o + i * strides[a] for o in offs for i in range(shape[a])]
+    if len(offs) == 1:  # itemgetter of one index returns the bare item
+        return lambda entries: (entries[0],)
+    return itemgetter(*offs)
 
 
 del _plan.__wrapped__  # the bench tracer reads any __wrapped__ as a wrapper left installed
@@ -194,11 +194,16 @@ del _plan.__wrapped__  # the bench tracer reads any __wrapped__ as a wrapper lef
 
 def _permute(entries, shape, new_axes, n: int = 1) -> tuple:
     """Row-major entries with the axes reordered, in each of ``n`` instances;
-    new axis b is old axis new_axes[b].  One gather through the cached plan."""
+    new axis b is old axis new_axes[b].  One cached gather per instance."""
     new_axes = tuple(new_axes)
     if new_axes == tuple(range(len(shape))):
         return tuple(entries)
-    return tuple(map(entries.__getitem__, _plan(tuple(shape), new_axes, n)))
+    gather = _plan(tuple(shape), new_axes)
+    if n == 1:
+        return gather(entries)
+    size = len(entries) // n
+    instances = (entries[k:k + size] for k in range(0, len(entries), size))
+    return tuple(chain.from_iterable(map(gather, instances)))
 
 
 _integer = lru_cache(maxsize=1024)(Fraction)  # one shared object per small integer
@@ -214,8 +219,12 @@ def _integers(vals) -> tuple[list[int], int]:
 
 
 def _scaled_sum(lanes, den: int) -> list[int]:
-    """The entrywise sum of lanes ``(ints, d)``, each scaled to ``den``, a multiple of every d."""
-    return list(map(sum, zip(*(t if d == den else [v * (den // d) for v in t] for t, d in lanes))))
+    """Lanes ``(ints, d)`` scaled to ``den`` (a multiple of each d) and summed, in a new list."""
+    out = None
+    for t, d in lanes:
+        t = t if d == den else [v * (den // d) for v in t]
+        out = list(t) if out is None else list(map(add, out, t))
+    return out
 
 
 def _fractions(ints, den: int) -> list[Fraction]:

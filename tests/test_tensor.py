@@ -3,8 +3,8 @@ from __future__ import annotations
 import dataclasses
 import random
 from fractions import Fraction
-from itertools import product
-from math import prod
+from itertools import permutations, product
+from math import lcm, prod
 from operator import mul
 from unittest import mock
 
@@ -755,6 +755,56 @@ def test_permutation_plan_reused_across_maps_of_one_shape():
             assert got.entry(tuple(idx[a] for a in axes)) == m.entry(idx)
     info = tensor_module._plan.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+    maps = [random_map(3, shape[1:], shape[0], seed=seed) for seed in (71, 72)]
+    both = tensor_module.transpose(stack(maps), axes)
+    assert both.entries == sum((tensor_module.transpose(m, axes).entries for m in maps), ())
+    info = tensor_module._plan.cache_info()
+    assert (info.misses, info.hits) == (1, 4)  # the stack gathers through the single-map plan
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1), (2, 1), (1, 3), (1, 1, 1), (2, 1, 3), (1, 2, 1, 2)])
+def test_permute_matches_index_arithmetic(shape):
+    size = prod(shape)
+    for n in (1, 2, 3):
+        entries = tuple(range(100, 100 + n * size))
+        for axes in permutations(range(len(shape))):
+            new_shape = tuple(shape[a] for a in axes)
+            want = []
+            for k in range(n):
+                for idx in _basis_tuples(new_shape):
+                    old = [0] * len(shape)
+                    for b, a in enumerate(axes):
+                        old[a] = idx[b]
+                    flat = 0
+                    for d, i in zip(shape, old):
+                        flat = flat * d + i
+                    want.append(entries[k * size + flat])
+            for source in (entries, list(entries)):
+                got = tensor_module._permute(source, shape, axes, n)
+                assert type(got) is tuple and got == tuple(want), (shape, axes, n)
+    if size == 1 and len(shape) > 1:  # a one-entry plan still gathers a 1-tuple
+        assert tensor_module._plan(shape, tuple(range(len(shape)))[::-1])(["x"]) == ("x",)
+
+
+def test_scaled_sum_matches_fractions_and_never_returns_a_lane():
+    values = [
+        [Fraction(1, 2), Fraction(-3), Fraction(5, 6), Fraction(0)],
+        [Fraction(2), Fraction(1, 3), Fraction(-7, 4), Fraction(9)],
+        [Fraction(-1, 5), Fraction(4), Fraction(1, 2), Fraction(-2, 3)],
+    ]
+    for count in (1, 2, 3):
+        for dens in ((1,), (2,), (6, 60)):  # den at the lanes' lcm, or past it
+            lanes = [tensor_module._integers(v) for v in values[:count]]
+            den = lcm(*dens, *(d for _, d in lanes))
+            kept = [list(t) for t, _ in lanes]
+            got = tensor_module._scaled_sum(lanes, den)
+            assert [Fraction(x, den) for x in got] == [sum(col) for col in zip(*values[:count])]
+            assert all(got is not t for t, _ in lanes)
+            got[0] += 1  # the caller's lanes, which maps cache, are untouched
+            assert [list(t) for t, _ in lanes] == kept
+    whole = ([3, -1, 4], 1)
+    assert tensor_module._scaled_sum([whole], 1) == [3, -1, 4]
+    assert tensor_module._scaled_sum([whole], 1) is not whole[0]
 
 
 # ---------------------------------------------------------------------------
