@@ -92,9 +92,6 @@ class CayleyTable(namedtuple("CayleyTable", "order table identity")):
                 raise InvalidCayleyTable(f"associativity fails at ({i}, {j}, {k})")
         return super().__new__(cls, order, table, identity)
 
-    def product(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
 
 def _cyclic(n: int) -> CayleyTable:
     rows = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))

@@ -102,8 +102,8 @@ class DerivationReport(namedtuple("DerivationReport", "first_slot middle_slot la
 
 
 # a candidate with what its checks read, each built once: right_action composed
-# into slot 1 of D, left_action into slot 2, D with the product in each slot
-_Structure = namedtuple("_Structure", "cand right left slots report")
+# into slot 1 of D, left_action into slot 2, and the slot report
+_Structure = namedtuple("_Structure", "cand right left report")
 
 
 def _structure(cand: TriDerivationCandidate) -> _Structure:
@@ -120,7 +120,7 @@ def _structure(cand: TriDerivationCandidate) -> _Structure:
             [(slots[k], before + x + "d" + after)],
             [(right, "abcd"), (left, x + before + "d" + after)],
         ))
-    return _Structure(cand, right, left, slots, DerivationReport(*witnesses))
+    return _Structure(cand, right, left, DerivationReport(*witnesses))
 
 
 def _structured(cand) -> _Structure:

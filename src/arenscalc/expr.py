@@ -38,13 +38,6 @@ FLIP_PERMS: dict[str, tuple[int, ...]] = {
     "s": (1, 2, 0),
 }
 
-IDENTITY_PERM: tuple[int, ...] = (0, 1, 2)
-
-# reverse lookup, identity included, used when naming composite flips
-PERM_NAMES: dict[tuple[int, ...], str] = {IDENTITY_PERM: ""}
-for _name, _perm in FLIP_PERMS.items():
-    PERM_NAMES[_perm] = _name
-
 
 class ExprError(Exception):
     """Base class for expression-layer failures."""
@@ -73,13 +66,6 @@ def compose_flips(first: tuple[int, ...], then: tuple[int, ...]) -> tuple[int, .
             f"cannot compose flips of lengths {len(first)} and {len(then)}"
         )
     return tuple(first[k] for k in then)
-
-
-def invert_flip(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for k, src in enumerate(perm):
-        inv[src] = k
-    return tuple(inv)
 
 
 def flip_perm(letter: str, arity: int) -> tuple[int, ...]:

@@ -37,11 +37,9 @@ from .expr import (
     ExprAst,
     FLIP_LETTERS,
     FLIP_PERMS,
-    PERM_NAMES,
     base_signature,
     compose_flips,
     flip_perm,
-    invert_flip,
     parse,
     signature_of,
 )
@@ -125,7 +123,7 @@ def extension_expr(lead: str, base: str = "f", arity: int = 3) -> ExprAst:
     adjoints = (ADJOINT,) * (arity + 1)
     if lead == "":
         return ExprAst(base, adjoints)
-    inv = PERM_NAMES[invert_flip(FLIP_PERMS[lead])]
+    inv = next(q for q in FLIP_LETTERS if compose_flips(FLIP_PERMS[lead], FLIP_PERMS[q]) == (0, 1, 2))
     return ExprAst(base, (lead,) + adjoints + (inv,))
 
 

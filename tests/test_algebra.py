@@ -61,8 +61,8 @@ NONASSOC_LOOP = (
 
 def test_cayley_table_valid_cyclic():
     t = CayleyTable(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)), 0)
-    assert t.product(1, 2) == 0
-    assert t.product(2, 2) == 1
+    assert t.table[1][2] == 0
+    assert t.table[2][2] == 1
 
 
 def test_cayley_table_rejects_wrong_shape():
@@ -96,7 +96,7 @@ def test_fixture_orders():
 def test_s3_is_non_abelian():
     t = cayley_fixture("s3")
     assert any(
-        t.product(i, j) != t.product(j, i)
+        t.table[i][j] != t.table[j][i]
         for i in range(6)
         for j in range(6)
     )
@@ -127,7 +127,7 @@ def test_z2_triple_convolution_entries():
     assert out == basis_vector(2, 0)
     # brute-force oracle over the whole table
     for i, j, k in product(range(2), repeat=3):
-        expected = t.product(t.product(i, j), k)
+        expected = t.table[t.table[i][j]][k]
         got = evaluate(
             triple, [basis_vector(2, i), basis_vector(2, j), basis_vector(2, k)]
         )
@@ -147,9 +147,9 @@ def test_triple_map_is_stacked_product():
 def test_group_tables_match_the_entrywise_oracle(name):
     t = cayley_fixture(name)
     n = t.order
-    want_pi = from_function("pi", (n, n), n, lambda l, i, j: 1 if t.product(i, j) == l else 0)
+    want_pi = from_function("pi", (n, n), n, lambda l, i, j: 1 if t.table[i][j] == l else 0)
     want_conv3 = from_function(
-        "conv3", (n, n, n), n, lambda l, i, j, k: 1 if t.product(t.product(i, j), k) == l else 0
+        "conv3", (n, n, n), n, lambda l, i, j, k: 1 if t.table[t.table[i][j]][k] == l else 0
     )
     model, triple = group_algebra(t)
     for got, want in ((model.multiplication, want_pi), (triple, want_conv3)):
@@ -712,3 +712,46 @@ def test_nested_check_refuses_a_stack():
     m = from_function("m", (2, 2), 2, lambda *_: 0)
     with pytest.raises(tensor.ShapeMismatch, match="a stack of 2 maps, where one map is needed"):
         nested_bilinear_check(tensor.stack([f, f]), m, m)
+
+
+_PI2 = from_function("pi", (2, 2), 2, lambda *_: 0)
+_POLY3 = truncated_poly_algebra(3)[0]
+_F3 = random_map(3, (2, 2, 2), 2, seed=1, name="f")
+
+# each refusal of the public algebra calls: the call, its exception type and message
+REFUSALS = {
+    "identity index": (lambda: CayleyTable(2, ((0, 1), (1, 0)), 2),
+                       InvalidCayleyTable, "identity index 2 out of range"),
+    "latin rows, repeated column": (lambda: CayleyTable(2, ((0, 1), (0, 1)), 0),
+                                    InvalidCayleyTable, "column 0 is not a permutation"),
+    "product shape": (lambda: AlgebraModel(3, _PI2, None, ("a", "b", "c")).validate(),
+                      InvalidAlgebra, "product shape (2, 2, 2) does not match dim 3"),
+    "basis names": (lambda: AlgebraModel(2, _PI2, None, ("a",)).validate(),
+                    InvalidAlgebra, "one basis name per dimension"),
+    "unit length": (lambda: _POLY3._replace(unit=vector((1, 0))).validate(),
+                    InvalidAlgebra, "unit has wrong dimension"),
+    "matrix_algebra(0)": (lambda: matrix_algebra(0), InvalidAlgebra, "need k >= 1"),
+    "left action shape": (lambda: regular_module(_POLY3)._replace(left_action=_PI2).validate(),
+                          InvalidAlgebra, "left action shape (2, 2, 2)"),
+    "right action shape": (lambda: regular_module(_POLY3)._replace(right_action=_PI2).validate(),
+                           InvalidAlgebra, "right action shape (2, 2, 2)"),
+    "bridge arity": (lambda: slice_bridge_check(_PI2, vector((1, 0))),
+                     DimensionMismatch, "pi: need a tri-linear map"),
+    "bridge functionals of a stack": (
+        lambda: slice_bridge_check(tensor.stack([_F3, _F3]), vector((1, 0))),
+        DimensionMismatch, "functional dim 2 vs codomain dim 2 x 2"),
+    "nested arities": (lambda: nested_bilinear_check(_PI2, _PI2, _PI2),
+                       DimensionMismatch, "need arities 3, 2, 2"),
+    "nested candidate shape": (
+        lambda: nested_bilinear_check(_F3, _PI2, from_function("th", (2, 2), 3, lambda *_: 0)),
+        DimensionMismatch, "candidate (3, 2, 2) does not match (2, 2, 2, 2)"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_are_pinned(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

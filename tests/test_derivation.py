@@ -795,3 +795,39 @@ def test_dual_family_matches_per_functional_build(name):
     assert dual_action_composite(cand, xstar, name="dc") == (
         _dual_composite_per_functional(cand, xstar, "dc")
     )
+
+
+_EULER = CANDIDATES["poly3-euler"]
+_WIDE_RIGHT = from_function("r", (3, 2), 3, lambda *_: 0)  # its algebra slot has dim 2, not 3
+
+# each refusal of the public derivation calls: the call, its exception type and message
+REFUSALS = {
+    "candidate shape": (
+        lambda: TriDerivationCandidate("bad", from_function("D", (3, 3, 2), 3, lambda *_: 0),
+                                       _EULER.module),
+        ShapeMismatch,
+        "bad: shape (3, 3, 3, 2) does not chain through algebra dim 3 into carrier dim 3"),
+    "right composite anchor": (lambda: right_action_composite(_EULER, vector((1, 0))),
+                               ShapeMismatch, "fixed element dim 2 vs algebra dim 3"),
+    "dual composite functional": (lambda: dual_action_composite(_EULER, vector((1, 0))),
+                                  ShapeMismatch, "functional dim 2 vs carrier dim 3"),
+    "sum form off the algebra": (
+        lambda: leibniz_sum(CANDIDATES["poly3-at-zero"].module,
+                            from_function("d", (3,), 3, lambda *_: 0), "D"),
+        ShapeMismatch, "sum form needs the algebra acting on itself"),
+    # tensor's refusal of identity terms whose shapes disagree
+    "slot identity terms": (
+        lambda: is_tri_derivation(TriDerivationCandidate(
+            "D", _EULER.tri_map, _EULER.module._replace(right_action=_WIDE_RIGHT))),
+        ShapeMismatch,
+        "terms of one identity disagree in shape: [(3, 3, 3, 2, 3), (3, 3, 3, 3, 3)]"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_are_pinned(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

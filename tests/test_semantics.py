@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from arenscalc import semantics
 from arenscalc.expr import (
     FLIP_PERMS,
-    IDENTITY_PERM,
     ExprAst,
     FlipArityMismatch,
     compose_flips,
@@ -260,8 +259,8 @@ HAND_CTR_TABLE = {
     frozenset({FLIP_PERMS["i"], FLIP_PERMS["j"]}): "r",
     frozenset({FLIP_PERMS["j"], FLIP_PERMS["r"]}): "i",
     frozenset({FLIP_PERMS["i"], FLIP_PERMS["r"]}): "j",
-    frozenset({FLIP_PERMS["s"], IDENTITY_PERM}): "t",
-    frozenset({FLIP_PERMS["t"], IDENTITY_PERM}): "s",
+    frozenset({FLIP_PERMS["s"], (0, 1, 2)}): "t",
+    frozenset({FLIP_PERMS["t"], (0, 1, 2)}): "s",
 }
 
 
@@ -289,7 +288,7 @@ def test_condition_name_matches_hand_table_on_all_pairs():
 
 
 def _state_machine_limit_order(ops):
-    lead = IDENTITY_PERM
+    lead = (0, 1, 2)
     adjoints = 0
     state = "lead"
     for op in ops:

@@ -591,3 +591,29 @@ def test_full_adjoint_cycle_reproduces_map(arity, seed):
     assert out.entries == base.entries
     assert out.axis_labels == base.axis_labels
     assert out.shape == base.shape
+
+
+def _violated(*_):
+    raise algebra.ConstraintViolated("violated at (0, 0)")
+
+
+# a stand-in for the nested check, and the section rows it must give
+NESTED_FAILURES = {
+    "every case raises": (_violated, (
+        ("zero inner map accepted", False, "violated at (0, 0)"),
+        ("nonlinear scalar candidate rejected", True, "violated at (0, 0)"),
+        ("zero scalar case accepted", False, "violated at (0, 0)"),
+    )),
+    "no case raises": (lambda *_: (), (
+        ("zero inner map accepted", True, ""),
+        ("nonlinear scalar candidate rejected", False, "no violation raised"),
+        ("zero scalar case accepted", True, ""),
+    )),
+}
+
+
+@pytest.mark.parametrize("case", NESTED_FAILURES)
+def test_nested_section_failure_rows_are_pinned(monkeypatch, case):
+    check, rows = NESTED_FAILURES[case]
+    monkeypatch.setattr(suites, "nested_bilinear_check", check)
+    assert suites.run_nested_bilinear_cases(0) == ("Nested bilinear constraint", rows)

@@ -1000,3 +1000,34 @@ def test_a_checked_map_equals_the_validated_one():
         validated = MultiMap(**{k: getattr(m, k) for k in fields})
         assert m == validated and validated == m
         assert hash(m) == hash(validated) and repr(m) == repr(validated)
+
+
+_M2 = from_function("m", (2, 2), 2, lambda *_: 0)
+
+# each refusal of the public tensor calls: the call, its exception type and message
+REFUSALS = {
+    "label count": (lambda: MultiMap("g", 1, (2,), 2, ("out",), (0,) * 4),
+                    ShapeMismatch, "g: need 2 axis labels"),
+    "entry out of range": (lambda: _M2.entry((0, 2, 0)),
+                           DimensionMismatch, "index (0, 2, 0) out of range for (2, 2, 2)"),
+    "transpose axis order": (lambda: tensor_module.transpose(_M2, (0, 1, 1)),
+                             ShapeMismatch, "bad axis order (0, 1, 1) for arity 2"),
+    "transpose labels": (lambda: tensor_module.transpose(_M2, (0, 2, 1), labels=("a", "a", "b")),
+                         ShapeMismatch, "need 3 unique axis labels, got ('a', 'a', 'b')"),
+    "compose slot range": (lambda: compose_into_slot(_M2, _M2, 3),
+                           ShapeMismatch, "slot 3 out of range for arity 2"),
+    "codomain post map": (lambda: compose_codomain(_M2, _M2),
+                          ShapeMismatch, "m: codomain composition needs a linear map"),
+    "slice the only input": (
+        lambda: slice_slot(from_function("v", (2,), 2, lambda *_: 0), 1, vector((1, 0))),
+        ShapeMismatch, "cannot slice the only input away"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_are_pinned(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

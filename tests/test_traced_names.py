@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,16 @@ def test_traced_name_resolves_on_the_package(traced):
     for attr in path:
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+def test_no_module_value_carries_a_wrapped_attribute():
+    # the tracer reads any ``__wrapped__`` on a module-level value as one of
+    # its wrappers left installed, so the caches the package builds with
+    # ``functools`` must drop theirs
+    import arenscalc.cli  # noqa: F401  (imports every module the CLI runs)
+
+    modules = {k: m for k, m in sys.modules.items() if k.split(".")[0] == "arenscalc"}
+    assert {"arenscalc.tensor", "arenscalc.semantics", "arenscalc.cli"} <= modules.keys()
+    wrapped = sorted(f"{k}.{name}" for k, m in modules.items()
+                     for name, v in vars(m).items() if hasattr(v, "__wrapped__"))
+    assert wrapped == []
