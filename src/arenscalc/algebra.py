@@ -26,7 +26,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, compress, count, permutations, product
+from operator import mul, ne
 
 from .semantics import ARENS_FLIPS, default_labels, extension_expr
 from .tensor import (
@@ -42,7 +43,8 @@ from .tensor import (
     slice_slot,
     vector,
 )
-from .tensor import _checked, _contract_last, _fractions, _integers, _single, _slice, _slot_last
+from .tensor import (_checked, _contract, _fractions, _integers, _permute, _single, _slice,
+                     _slot_last)
 
 
 class InvalidCayleyTable(Exception):
@@ -354,24 +356,32 @@ def nested_bilinear_check(
         raise DimensionMismatch(
             f"candidate {candidate.shape} does not match {f.shape}"
         )
-    # lanes with slot 1 last; each grid vector scaled once, each map sliced at x once
-    lanes = [_slot_last(_single(m), 1) for m in (f, inner, candidate)]
-    grid_y = [(y, *_integers(y)) for y in sample_grid(f.input_dims[1])]
-    for x in sample_grid(f.input_dims[0]):
-        xs, e = _integers(x)
-        (fx, df), (inner_x, di), (cand_x, dc) = ((_contract_last(v, xs), d * e) for v, d in lanes)
-        for y, ys, ey in grid_y:
-            z, dz = _contract_last(inner_x, ys), di * ey
-            want, dw = _contract_last(_contract_last(fx, z), ys), df * dz * ey
-            got, dg = _contract_last(cand_x, ys), dc * ey
-            if [v * dg for v in want] != [v * dw for v in got]:
-                got, want = _fractions(got, dg), _fractions(want, dw)
-                raise ConstraintViolated(
-                    f"candidate disagrees at x={tuple(map(str, x))}, "
-                    f"y={tuple(map(str, y))}: "
-                    f"{tuple(map(str, got))} vs {tuple(map(str, want))}",
-                    point=(x, y),
-                )
+    # each lane, x last, is contracted at every x at once, then per x at
+    # every grid point y at once, into rows of one value per point
+    xgrid, grid = sample_grid(f.input_dims[0]), sample_grid(f.input_dims[1])
+    (dx, dy, dz), dl, n = f.input_dims, f.codomain_dim, len(grid)
+    (xs, e), (ys, eg) = (_integers(tuple(chain.from_iterable(g))) for g in (xgrid, grid))
+    (il, di), (cl, dc) = (_slot_last(_single(m), 1) for m in (inner, candidate))
+    fl, df = _single(f).lane
+    lanes = (_permute(fl, f.shape, (0, 3, 2, 1)), il, cl)  # (l, z, y, x), (z, y, x), (l, y, x)
+    at_x = [_contract(xs, lane, dx) for lane in lanes]  # (l, z, y; x), (z, y; x), (l, y; x)
+    dw, dg = df * di * (e * eg) ** 2, dc * e * eg  # want / dw against got / dg
+    for k, x in enumerate(xgrid):
+        fx, zs, got = (_contract(ys, v[k::len(xgrid)], dy) for v in at_x)  # rows (l, z), z, l
+        # f(x, y, inner(x, y)): the sum over z of f's row (l, z) times inner's row z
+        terms = list(zip(*[iter(map(mul, fx, zs * dl))] * n))
+        want = [v for r in range(0, len(terms), dz) for v in map(sum, zip(*terms[r:r + dz]))]
+        left, right = [v * dg for v in want], [v * dw for v in got]
+        if left != right:  # the first failing y, read off the columns, and its values
+            p = min(next(compress(count(), map(ne, left[r:r + n], right[r:r + n])), n)
+                    for r in range(0, len(left), n))
+            got, want = _fractions(got[p::n], dg), _fractions(want[p::n], dw)
+            raise ConstraintViolated(
+                f"candidate disagrees at x={tuple(map(str, x))}, "
+                f"y={tuple(map(str, grid[p]))}: "
+                f"{tuple(map(str, got))} vs {tuple(map(str, want))}",
+                point=(x, grid[p]),
+            )
     hyp1 = equal(prepared("f^{t***r}", 3)(f), prepared("f^{r***t}", 3)(f))
     hyp2 = equal(prepared("f^{****t**s}", 3)(f), prepared("f^{t**s****}", 3)(f))
     reg = regularity_check(candidate)

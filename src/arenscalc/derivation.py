@@ -168,7 +168,8 @@ def _family(cand, side: str):
     def build(anchor, name):
         if anchor is None:
             m = transpose(composed, (1,) + tuple(a + (a > 0) for a in axes))
-            return _checked(name, m.shape[2:], m.shape[1], labels, m.entries, m.shape[0])
+            return _checked(name, m.shape[2:], m.shape[1], labels, vars(m).get("entries"),
+                            m.shape[0], vars(m).get("lane"))
         return transpose(slice_slot(composed, 1, anchor), axes, name=name, labels=labels)
 
     return build

@@ -344,11 +344,12 @@ def run_adjoint_pairing(seed: int, instances: int = 200, dims: Dims = None) -> S
         fstar = prepared("f^{*}", f.arity)(f)  # the adjoint the package itself uses
         # <f*(e_l, e_i1, .., e_i(n-1)), e_in> = <e_l, f(e_i1, .., e_in)>: row-major
         # f* is f read with its last axis (stride 1) outermost, gathered here by
-        # stride, instance by instance, so the check does not share the kernel
-        d, size = f.input_dims[-1], len(f.entries) // f.instances
-        expected = tuple(chain.from_iterable(f.entries[o + i:o + size:d]
-                                             for o in range(0, len(f.entries), size) for i in range(d)))
-        return fstar.shape != (d,) + f.shape[:-1] or fstar.entries != expected
+        # stride off the lanes, instance by instance, so the check does not share the kernel
+        (ints, den), (got, got_den) = f.lane, fstar.lane
+        d, size = f.input_dims[-1], len(ints) // f.instances
+        expected = tuple(chain.from_iterable(ints[o + i:o + size:d]
+                                             for o in range(0, len(ints), size) for i in range(d)))
+        return fstar.shape != (d,) + f.shape[:-1] or (tuple(got), got_den) != (expected, den)
 
     def draw():
         picked = _pick_dims(rng, rng.choice((1, 2, 3)) + 1, dims)  # input dims, then codomain

@@ -23,27 +23,28 @@ process; ``realize`` folds on every call, for words from outside, never
 kept.  ``adjoint`` and ``flip`` are the step-by-step test oracle.
 
 Every map has an integer lane ``(ints, den)``, its entries over one common
-denominator in lowest terms, which the contractions read.  A lane has two
-sources: the kernel that built the map (``compose_into_slot``, through it
-``compose_codomain``, and ``slice_slot``), or a first read of the map's
-entries through ``MultiMap.lane``, kept from then on.  A map the package
-builds from data it has checked (a transpose, composition, slice, stack,
-draw, group table or fixture sum) skips validation; a transpose holds no lane.
+denominator in lowest terms, which the contractions read.  A draw, a kernel
+result (``compose_into_slot``, ``compose_codomain``, ``slice_slot``) of integer
+operands, a group table, and a transpose of such a map, which moves the lane,
+hold their lane alone, at den 1, and build their ``Fraction`` entries on first
+read; any other map holds its entries and reads its lane off them once.
+``equal`` compares two den-1 lanes as ints.  A map the package builds from
+data it has checked skips validation.
 
 A stack is n maps of one shape laid end to end, with a leading instance
 axis; a single map is a stack of one.  ``transpose``, so every realizer,
 moves the axes of all instances by that one gather, and ``equal`` compares
 two stacks in one tuple comparison, mostly of shared objects, and scans for
-the first mismatch, indexed within its instance, only if that fails.  Two
-stacks of one count compose instance by instance.  ``_draw`` draws a stack
-from one seed per instance, each instance the ``random_map`` of its seed
-(``random_map`` is its one-seed case).  What reads one map (``evaluate``,
-``slice_slot``, ``entry``, ``to_dict``, and the law check
-``_first_mismatch_block``) refuses a stack; ``_slice`` slices a stack at one
-vector per instance.
+the first mismatch, indexed within its instance, only if that fails.
+``_contract`` scales a column of every instance at once, so two stacks of
+one count compose, and a stack slices at one vector per instance
+(``_slice``), in one pass.  ``_draw`` draws a stack from one seed per
+instance, each the ``random_map`` of its seed.  What reads one map
+(``evaluate``, ``slice_slot``, ``entry``, ``to_dict``, and the law check
+``_first_mismatch_block``) refuses a stack.
 
 All entries are ``fractions.Fraction`` and all checks are exact; a float
-read from a map file is its exact binary value.
+read from a map file, or given as a coordinate, is its exact binary value.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, compress, count, islice, product, starmap
 from math import lcm, prod
-from operator import add, itemgetter, ne
+from operator import add, itemgetter, mul, ne
 from stat import S_ISREG
 
 from . import semantics
@@ -86,6 +87,16 @@ def toggle_dual(label: str) -> str:
     return label[:-1] if label.endswith("*") else label + "*"
 
 
+class _FromLane:
+    """A map's entries read off a lane it holds alone, kept from then on."""
+
+    def __get__(self, m, owner=None):
+        if m is None:  # so the dataclass field has no default
+            raise AttributeError("entries")
+        entries = vars(m)["entries"] = tuple(_fractions(*m.lane))
+        return entries
+
+
 # the one dataclass: maps are validated in __post_init__, rebuilt with
 # dataclasses.replace by callers outside the package (the package's own
 # builders go through _checked), and hold a cached lane, which a tuple cannot
@@ -96,7 +107,7 @@ class MultiMap:
     input_dims: tuple[int, ...]
     codomain_dim: int
     axis_labels: tuple[str, ...]
-    entries: tuple[Fraction, ...]
+    entries: tuple[Fraction, ...] = _FromLane()  # held, or built from a lane held alone
     instances: int = 1  # past 1, a stack: that many maps of this shape, end to end
 
     def __post_init__(self):
@@ -135,16 +146,18 @@ class MultiMap:
 
 def _checked(name, input_dims, codomain_dim, axis_labels, entries, instances=1, lane=None):
     """A map built from checked maps, not validated again, holding ``lane``
-    if given; with ``entries`` None, read off a lane kept only at den 1."""
-    if entries is None:
-        entries = tuple(_fractions(*lane))
-        lane = lane if lane[1] == 1 else None
+    if given; with ``entries`` None, a lane at den 1 is all it holds, and
+    any other lane gives its entries at once and is not kept."""
+    if entries is None and lane[1] != 1:
+        entries, lane = tuple(_fractions(*lane)), None
     m = object.__new__(MultiMap)
-    vars(m).update(name=name, arity=len(input_dims), input_dims=input_dims,
-                   codomain_dim=codomain_dim, axis_labels=axis_labels, entries=entries,
-                   instances=instances)
+    fields = m.__dict__
+    fields.update(name=name, arity=len(input_dims), input_dims=input_dims,
+                  codomain_dim=codomain_dim, axis_labels=axis_labels, instances=instances)
+    if entries is not None:
+        fields["entries"] = entries
     if lane is not None:
-        vars(m)["lane"] = lane
+        fields["lane"] = lane
     return m
 
 
@@ -177,7 +190,9 @@ def stack(maps: Sequence[MultiMap]) -> MultiMap:
 
 @lru_cache(maxsize=512)
 def _plan(shape: tuple[int, ...], new_axes: tuple[int, ...]) -> Callable[[Sequence], tuple]:
-    """A gather that reads one row-major tensor of ``shape`` in ``new_axes`` order."""
+    """A gather reading one row-major tensor of ``shape`` in ``new_axes`` order, checked here."""
+    if sorted(new_axes) != list(range(len(shape))):
+        raise ShapeMismatch(f"bad axis order {new_axes} for arity {len(shape) - 1}")
     strides = [1] * len(shape)
     for k in range(len(shape) - 1, 0, -1):
         strides[k - 1] = strides[k] * shape[k]
@@ -211,11 +226,13 @@ del _integer.__wrapped__  # as for _plan
 
 
 def _integers(vals) -> tuple[list[int], int]:
-    """Integers n and one common denominator D with vals[i] == n[i] / D."""
-    den = lcm(*{v.denominator for v in vals})
+    """Integers n and one common denominator D with vals[i] == n[i] / D,
+    each value read at its exact ratio (a float at its binary value)."""
+    ratios = [v.as_integer_ratio() for v in vals]
+    den = lcm(*{d for _, d in ratios})
     if den == 1:
-        return [v.numerator for v in vals], 1
-    return [v.numerator * (den // v.denominator) for v in vals], den
+        return [n for n, _ in ratios], 1
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _scaled_sum(lanes, den: int) -> list[int]:
@@ -232,6 +249,13 @@ def _fractions(ints, den: int) -> list[Fraction]:
     return list(map(_integer, ints)) if den == 1 else [Fraction(n, den) for n in ints]
 
 
+def _transposed(values, width: int):
+    """Row-major ``values`` with rows ``width`` long, read column by column."""
+    if width in (1, len(values)):
+        return values
+    return list(chain.from_iterable(zip(*zip(*[iter(values)] * width))))
+
+
 def _contract_last(ints, x) -> list[int]:
     """Contract the fastest axis of row-major integers with integer coordinates x."""
     d = len(x)
@@ -243,9 +267,32 @@ def _contract_last(ints, x) -> list[int]:
     return [0] * (len(ints) // d) if out is None else out
 
 
+def _contract(ints, rows, mid: int, n: int = 1) -> list[int]:
+    """n instances end to end, each integers in rows ``mid`` long, against its own
+    rows of coefficients: instance k of the result holds (b, r), its row b dotted
+    with its row r.  One instance takes a coefficient row at a time; a stack
+    scales a column of every instance at once.  Zeros and ones are skipped."""
+    out = []
+    if n == 1:
+        for b in range(0, len(rows), mid):
+            out += _contract_last(ints, rows[b:b + mid])
+        return out
+    step, size = len(rows) // n, len(ints) // (n * mid)
+    cols = [_transposed(ints[i::mid], size) for i in range(mid)]
+    coefs = list(zip(*zip(*[iter(rows)] * step)))  # the n coefficients of each (b, i)
+    for b in range(0, step, mid):
+        block = None
+        for col, cs in zip(cols, coefs[b:b + mid]):
+            if any(cs):
+                col = col if cs.count(1) == n else list(map(mul, col, cs * size))
+                block = col if block is None else list(map(add, block, col))
+        out += [0] * (n * size) if block is None else block
+    return _transposed(out, n)
+
+
 def _slot_last(m: MultiMap, axis: int) -> tuple:
     """The lane of ``m`` with ``axis`` (0 = codomain) moved to the fastest
-    position in every instance, ready for ``_contract_last``."""
+    position in every instance, ready for ``_contract``."""
     ints, den = m.lane
     rest = tuple(a for a in range(m.arity + 1) if a != axis)
     return _permute(ints, m.shape, rest + (axis,), m.instances), den
@@ -254,19 +301,18 @@ def _slot_last(m: MultiMap, axis: int) -> tuple:
 def transpose(m: MultiMap, new_axes, name=None, labels=None) -> MultiMap:
     """Reorder all axes (codomain included); new axis b draws old axis
     new_axes[b].  Axis 0 of the result is its codomain.  The result's
-    labels default to the moved labels of ``m``.  The result holds no
-    lane: a first read builds one from its entries."""
-    if sorted(new_axes) != list(range(m.arity + 1)):
-        raise ShapeMismatch(f"bad axis order {new_axes} for arity {m.arity}")
-    new_shape = tuple(map(m.shape.__getitem__, new_axes))
+    labels default to the moved labels of ``m``.  A map that holds its
+    lane alone gives a map that holds the moved lane alone; any other
+    gives its moved entries and no lane, which a first read builds."""
+    shape, entries = m.shape, m.__dict__.get("entries")
+    moved = _permute(m.lane[0] if entries is None else entries, shape, new_axes, m.instances)
     if labels is None:
-        labels = tuple(m.axis_labels[a] for a in new_axes)
-    elif len(set(labels)) != m.arity + 1:
-        raise ShapeMismatch(f"need {m.arity + 1} unique axis labels, got {labels}")
-    return _checked(
-        name if name is not None else m.name, new_shape[1:], new_shape[0], labels,
-        _permute(m.entries, m.shape, new_axes, m.instances), m.instances,
-    )
+        labels = tuple(map(m.axis_labels.__getitem__, new_axes))
+    elif len(set(labels)) != len(shape):
+        raise ShapeMismatch(f"need {len(shape)} unique axis labels, got {labels}")
+    new_shape = tuple(map(shape.__getitem__, new_axes))
+    return _checked(name if name is not None else m.name, new_shape[1:], new_shape[0], labels,
+                    entries and moved, m.instances, None if entries else (moved, 1))
 
 
 def adjoint(m: MultiMap) -> MultiMap:
@@ -375,21 +421,23 @@ def equal(left: MultiMap, right: MultiMap) -> IdentityReport:
         raise ShapeMismatch(
             f"cannot align labels {_shown(right.axis_labels)} to {_shown(left.axis_labels)}"
         )
-    axes = tuple(map(index.__getitem__, left.axis_labels))
-    shape = tuple(map(right.shape.__getitem__, axes))
-    if shape != left.shape:  # past eight axes, only the first that differs
-        k = next(compress(count(), map(ne, left.shape, shape)))
-        dims = f"{left.shape} vs {shape}" if len(shape) <= 8 else (
-            f"{left.shape[k]} vs {shape[k]} on axis {left.axis_labels[k]}")
+    axes, want, have = tuple(map(index.__getitem__, left.axis_labels)), left.shape, right.shape
+    shape = tuple(map(have.__getitem__, axes))
+    if shape != want:  # past eight axes, only the first that differs
+        k = next(compress(count(), map(ne, want, shape)))
+        dims = f"{want} vs {shape}" if len(shape) <= 8 else (
+            f"{want[k]} vs {shape[k]} on axis {left.axis_labels[k]}")
         raise ShapeMismatch(f"dims {dims} after label alignment")
-    aligned = _permute(right.entries, right.shape, axes, right.instances)
-    if left.entries == aligned:
+    # two lanes held at den 1 compare as ints, printed as their Fractions print
+    values, dl = left.__dict__.get("lane", (0, 0))
+    theirs, dr = right.__dict__.get("lane", (0, 0))
+    values, theirs = (tuple(values), theirs) if dl == dr == 1 else (left.entries, right.entries)
+    aligned = _permute(theirs, have, axes, right.instances)
+    if values == aligned:
         return IdentityReport(left.name, right.name, True)
-    pos = next(compress(count(), map(ne, left.entries, aligned)))
-    idx = next(islice(product(*map(range, left.shape)), pos % prod(left.shape), None))
-    return IdentityReport(
-        left.name, right.name, False, (idx, str(left.entries[pos]), str(aligned[pos]))
-    )
+    pos = next(compress(count(), map(ne, values, aligned)))
+    idx = next(islice(product(*map(range, want)), pos % prod(want), None))
+    return IdentityReport(left.name, right.name, False, (idx, str(values[pos]), str(aligned[pos])))
 
 
 def _first_mismatch_block(inputs: str, lhs, rhs) -> tuple[int, ...] | None:
@@ -423,10 +471,10 @@ def _first_mismatch_block(inputs: str, lhs, rhs) -> tuple[int, ...] | None:
     return next(islice(product(*map(range, shape[:-1])), pos // shape[-1], None))
 
 
-# randint(-9, 9) draws the top five bits of a 32-bit word until they are below
-# 19: a top byte from 152 up is rejected, and a kept top byte b draws (b >> 3) - 9
+# randint(-9, 9) draws the top five bits of a 32-bit word until they are below 19: a
+# top byte from 152 up is rejected, and a kept top byte b draws (b >> 3) - 9, a signed byte
 _REJECTED = bytes(range(152, 256))
-_DRAWN = tuple(_integer((b >> 3) - 9) for b in range(152))
+_DRAWN = bytes(((b >> 3) - 9) % 256 for b in range(256))
 
 
 def random_map(arity, input_dims, codomain_dim, seed, name="f") -> MultiMap:
@@ -447,10 +495,10 @@ def _draw(seeds, arity, input_dims, codomain_dim, name="f") -> MultiMap:
         while len(draws) < size:
             words = 2 * (size - len(draws))
             top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
-            draws += top.translate(None, _REJECTED)
+            draws += top.translate(_DRAWN, _REJECTED)
         kept.append(draws[:size])
-    entries = tuple(map(_DRAWN.__getitem__, b"".join(kept)))
-    return _checked(name, dims, codomain_dim, default_labels(arity), entries, len(kept))
+    ints = memoryview(b"".join(kept)).cast("b").tolist()
+    return _checked(name, dims, codomain_dim, default_labels(arity), None, len(kept), (ints, 1))
 
 
 def compose_into_slot(outer: MultiMap, inner: MultiMap, slot: int, name=None) -> MultiMap:
@@ -469,21 +517,13 @@ def compose_into_slot(outer: MultiMap, inner: MultiMap, slot: int, name=None) ->
         )
     if (n := outer.instances) != inner.instances:
         raise ShapeMismatch(f"stacks of {n} vs {inner.instances} maps")
-    # outer with the slot axis last, inner with its codomain last; per
-    # instance, one contraction per inner input index b gives the block
-    # (b; l, pre, post)
-    moved, den = _slot_last(outer, slot)
-    mid = inner.codomain_dim
-    rows, e = _slot_last(inner, 0)
-    size, step = len(moved) // n, len(rows) // n
-    blocks = []
-    for k in range(n):
-        part = moved[k * size:(k + 1) * size]
-        for r in range(k * step, (k + 1) * step, mid):
-            blocks += _contract_last(part, rows[r:r + mid])
-    # axes (b, l, pre..., post...) -> (l, pre..., b, post...), b flattened
+    # outer with the slot axis last, inner with its codomain last; each
+    # instance's block (b; l, pre, post) is inner's row b against outer's rows
+    (moved, den), (rows, e) = _slot_last(outer, slot), _slot_last(inner, 0)
+    blocks = _contract(moved, rows, inner.codomain_dim, n)
+    # per instance, axes (b, l, pre..., post...) -> (l, pre..., b, post...), b flattened
     pre, post = outer.input_dims[: slot - 1], outer.input_dims[slot:]
-    shape = (step // mid, outer.codomain_dim) + pre + post
+    shape = (len(rows) // (n * inner.codomain_dim), outer.codomain_dim) + pre + post
     order = tuple(range(1, slot + 1)) + (0,) + tuple(range(slot + 1, len(shape)))
     dims = pre + inner.input_dims + post
     return _checked(
@@ -499,7 +539,7 @@ def compose_codomain(post: MultiMap, m: MultiMap) -> MultiMap:
         raise ShapeMismatch(f"{post.name}: codomain composition needs a linear map")
     c = compose_into_slot(post, m, 1)
     return _checked(f"{post.name}.{m.name}", c.input_dims, c.codomain_dim, m.axis_labels,
-                    c.entries, c.instances, vars(c).get("lane"))
+                    vars(c).get("entries"), c.instances, vars(c).get("lane"))
 
 
 def slice_slot(m: MultiMap, slot: int, vec: Sequence[Fraction]) -> MultiMap:
@@ -519,9 +559,7 @@ def _slice(m: MultiMap, slot: int, vecs: Sequence[Fraction]) -> MultiMap:
     """Contract input ``slot`` of each instance of ``m`` with its own
     vector, ``vecs`` holding one per instance, end to end."""
     (ints, den), (xs, e) = _slot_last(m, slot), _integers(vecs)
-    d, size = m.input_dims[slot - 1], len(ints) // m.instances
-    lane = [v for k in range(m.instances)
-            for v in _contract_last(ints[k * size:(k + 1) * size], xs[k * d:(k + 1) * d])]
+    lane = _contract(ints, xs, m.input_dims[slot - 1], m.instances)
     return _checked(
         f"{m.name}|s{slot}", m.input_dims[: slot - 1] + m.input_dims[slot:], m.codomain_dim,
         m.axis_labels[:slot] + m.axis_labels[slot + 1:], None, m.instances, lane=(lane, den * e),

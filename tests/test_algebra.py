@@ -419,11 +419,26 @@ def _scan_reference(f, inner, cand):
 NESTED_ENTRIES = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 
 
+def _check_against_scan(f, inner, cand):
+    """The grid-wide check raises at the scan's first failing point, with
+    its message and point, or passes where the scan finds none."""
+    failing = _scan_reference(f, inner, cand)
+    if failing is None:
+        assert len(nested_bilinear_check(f, inner, cand)) == 3
+        return
+    with pytest.raises(ConstraintViolated) as exc_info:
+        nested_bilinear_check(f, inner, cand)
+    assert (exc_info.value.point, str(exc_info.value)) == failing
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_nested_check_fails_where_the_evaluate_scan_does(data):
-    # x up to dim 6, past the full grid; entries with denominators above 1
-    dx, dy = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+    # x and y up to dim 6, past the full grid; entries with denominators
+    # above 1; a candidate mostly perturbed, and kept at small dims, where
+    # the scan reads the whole grid, when it may pass
+    perturbed = data.draw(st.integers(0, 3), label="perturbed") > 0
+    dx, dy = (data.draw(st.integers(1, 6 if perturbed else 3)) for _ in "xy")
     dz, dl = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
 
     def draw(name, dims, cod, zero=False):
@@ -436,17 +451,40 @@ def test_nested_check_fails_where_the_evaluate_scan_does(data):
 
     f = draw("f", (dx, dy, dz), dl)
     inner = draw("m", (dx, dy), dz, zero=data.draw(st.booleans(), label="zero inner"))
-    # the zero candidate, right when inner is zero, with one entry perturbed
+    # the zero candidate, right when inner is zero, or with one entry perturbed
     cand = draw("th", (dx, dy), dl, zero=True)
-    pos = data.draw(st.integers(0, len(cand.entries) - 1), label="perturbed position")
-    step = data.draw(st.sampled_from([Fraction(1), Fraction(-2, 3), Fraction(5, 7)]))
-    cand = MultiMap("th", 2, (dx, dy), dl, cand.axis_labels,
-                    cand.entries[:pos] + (step,) + cand.entries[pos + 1:])
-    point, message = _scan_reference(f, inner, cand)
+    if perturbed:
+        pos = data.draw(st.integers(0, len(cand.entries) - 1), label="perturbed position")
+        step = data.draw(st.sampled_from([Fraction(1), Fraction(-2, 3), Fraction(5, 7)]))
+        cand = MultiMap("th", 2, (dx, dy), dl, cand.axis_labels,
+                        cand.entries[:pos] + (step,) + cand.entries[pos + 1:])
+    _check_against_scan(f, inner, cand)
+
+
+@pytest.mark.parametrize("dims", [(5, 6, 2, 2), (1, 5, 3, 1), (6, 1, 1, 2), (2, 2, 2, 2)])
+def test_nested_check_on_drawn_maps_matches_the_scan_past_dim_4(dims):
+    # y past dim 4 reads every point of the two-nonzero grid at once
+    dx, dy, dz, dl = dims
+    f = random_map(3, (dx, dy, dz), dl, seed=sum(dims), name="f")
+    inner = random_map(2, (dx, dy), dz, seed=dx, name="m")
+    for cand in (random_map(2, (dx, dy), dl, seed=dy, name="th"),
+                 from_function("th", (dx, dy), dl, lambda *_: 0)):
+        _check_against_scan(f, inner, cand)
+    if dx * dy <= 5:  # a passing check: the scan reads the whole grid
+        zero = from_function("m", (dx, dy), dz, lambda *_: 0)
+        _check_against_scan(f, zero, from_function("th", (dx, dy), dl, lambda *_: 0))
+
+
+def test_nested_check_compares_values_over_different_denominators():
+    # f(x, y, inner(x, y)) = (1/2)(2/3) x^2 y^2 meets th = (1/3) x y at
+    # x = y = -1, where their lanes hold 2/6 and 1/3, before failing at y = 1
+    f = from_function("f", (1, 1, 1), 1, lambda *_: Fraction(1, 2))
+    inner = from_function("m", (1, 1), 1, lambda *_: Fraction(2, 3))
+    cand = from_function("th", (1, 1), 1, lambda *_: Fraction(1, 3))
+    _check_against_scan(f, inner, cand)
     with pytest.raises(ConstraintViolated) as exc_info:
         nested_bilinear_check(f, inner, cand)
-    assert exc_info.value.point == point
-    assert str(exc_info.value) == message
+    assert exc_info.value.point == (vector([-1]), vector([1]))
 
 
 def test_nested_check_varies_every_coordinate_past_dim_4():

@@ -287,6 +287,28 @@ def test_full_suite_validates_none_of_its_own_fixtures(monkeypatch):
     assert calls == {"AlgebraModel": 0, "BanachModuleModel": 0}
 
 
+def test_full_suite_builds_fractions_only_for_its_one_witness(monkeypatch):
+    # kernel results, draws and their realizations hold integer lanes and
+    # compare as ints; the only Fractions built from lanes are the two values
+    # of the rejected nonlinear scalar candidate's message (while kernel
+    # results built their entries at once: 55 lists of 17 816 values)
+    built = []
+    real = tensor._fractions
+
+    def counting(ints, den):
+        built.append(len(ints))
+        return real(ints, den)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "arenscalc":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    assert tensor._fractions is counting
+    assert all(ok for _, rows in full_suite(dims=(2, 2, 2, 2)) for _, ok, _ in rows)
+    assert built == [1, 1]
+
+
 def test_full_suite_runs_without_the_step_by_step_oracle(monkeypatch):
     def refuse(*args):
         raise AssertionError("the adjoint/flip oracle was called outside the tests")
