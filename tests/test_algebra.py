@@ -28,7 +28,6 @@ from arenscalc.algebra import (
     truncated_poly_algebra,
 )
 from arenscalc import semantics, tensor
-from arenscalc.expr import parse
 from arenscalc.semantics import ARENS_FLIPS, EXTENSION_FLIPS, default_labels, extension_expr
 from arenscalc.tensor import (
     DimensionMismatch,
@@ -42,7 +41,19 @@ from arenscalc.tensor import (
     vector,
 )
 
-from perturbation import perturb, perturbed_entries
+from .oracle import (
+    algebra_error,
+    apply,
+    basis_tuples,
+    character_module,
+    doubled_module,
+    draw_fractions,
+    module_error,
+    nested_scan,
+    perturb,
+    perturbed_entries,
+    product_rule_error,
+)
 
 # a latin square with identity 0 that is not associative (order-5 loop);
 # t[t[1][1]][2] = 2 but t[1][t[1][2]] = 4
@@ -119,19 +130,11 @@ def test_trivial_group_algebra():
 
 def test_z2_triple_convolution_entries():
     t = cayley_fixture("z2")
-    model, triple = group_algebra(t)
+    triple = apply(group_algebra(t)[1])
     # delta_g * delta_g * delta_e = delta_e  (g has order two)
-    out = evaluate(
-        triple, [basis_vector(2, 1), basis_vector(2, 1), basis_vector(2, 0)]
-    )
-    assert out == basis_vector(2, 0)
-    # brute-force oracle over the whole table
-    for i, j, k in product(range(2), repeat=3):
-        expected = t.table[t.table[i][j]][k]
-        got = evaluate(
-            triple, [basis_vector(2, i), basis_vector(2, j), basis_vector(2, k)]
-        )
-        assert got == basis_vector(2, expected)
+    assert triple(1, 1, 0) == basis_vector(2, 0)
+    for i, j, k in basis_tuples((2, 2, 2)):
+        assert triple(i, j, k) == basis_vector(2, t.table[t.table[i][j]][k])
 
 
 def test_triple_map_is_stacked_product():
@@ -186,24 +189,6 @@ def test_poly_derivation_weights():
     assert evaluate(delta, [basis_vector(3, 2)]) == (0, 0, 2)
 
 
-def test_poly_derivation_product_rule_brute_force():
-    model, delta = truncated_poly_algebra(4)
-    pi = model.multiplication
-    for a, b in product(range(4), repeat=2):
-        ea, eb = basis_vector(4, a), basis_vector(4, b)
-        lhs = evaluate(delta, [evaluate(pi, [ea, eb])])
-        rhs = vector(
-            tuple(
-                u + v
-                for u, v in zip(
-                    evaluate(pi, [evaluate(delta, [ea]), eb]),
-                    evaluate(pi, [ea, evaluate(delta, [eb])]),
-                )
-            )
-        )
-        assert lhs == rhs
-
-
 def test_poly_needs_degree_two():
     with pytest.raises(InvalidAlgebra):
         truncated_poly_algebra(1)
@@ -222,16 +207,6 @@ def test_matrix_units_multiply():
     assert evaluate(mult, [e12, e21]) == e11
     assert evaluate(mult, [e21, e12]) == e22
     assert model.unit == vector((1, 0, 0, 1))
-
-
-def test_matrix_associativity_all_triples():
-    model = matrix_algebra(2)
-    mult = model.multiplication
-    es = [basis_vector(4, k) for k in range(4)]
-    for a, b, c in product(es, repeat=3):
-        left = evaluate(mult, [evaluate(mult, [a, b]), c])
-        right = evaluate(mult, [a, evaluate(mult, [b, c])])
-        assert left == right
 
 
 def test_matrix_scalar_case():
@@ -385,44 +360,16 @@ def test_nested_check_fails_where_the_pointwise_scan_does():
     f = random_map(3, (2, 3, 2), 2, seed=5, name="f")
     inner = random_map(2, (2, 3), 2, seed=6, name="m")
     cand = random_map(2, (2, 3), 2, seed=7, name="th")
-    x, y, got, want = next(
-        (x, y, got, want)
-        for x in sample_grid(2)
-        for y in sample_grid(3)
-        if (got := evaluate(cand, [x, y])) != (want := evaluate(f, [x, y, evaluate(inner, [x, y])]))
-    )
-    with pytest.raises(ConstraintViolated) as exc_info:
-        nested_bilinear_check(f, inner, cand)
-    assert exc_info.value.point == (x, y)
-    assert str(exc_info.value) == (
-        f"candidate disagrees at x={tuple(map(str, x))}, y={tuple(map(str, y))}: "
-        f"{tuple(map(str, got))} vs {tuple(map(str, want))}"
-    )
+    assert nested_scan(f, inner, cand) is not None
+    _check_against_scan(f, inner, cand)
     zero = from_function("m", (2, 3), 2, lambda *_: 0)
     assert len(nested_bilinear_check(f, zero, zero)) == 3
-
-
-def _scan_reference(f, inner, cand):
-    """The nested check's scan restated: three ``evaluate`` calls per grid
-    point; the first failing point and its message, or None."""
-    for x in sample_grid(f.input_dims[0]):
-        for y in sample_grid(f.input_dims[1]):
-            got, want = evaluate(cand, [x, y]), evaluate(f, [x, y, evaluate(inner, [x, y])])
-            if got != want:
-                return (x, y), (
-                    f"candidate disagrees at x={tuple(map(str, x))}, y={tuple(map(str, y))}: "
-                    f"{tuple(map(str, got))} vs {tuple(map(str, want))}"
-                )
-    return None
-
-
-NESTED_ENTRIES = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 
 
 def _check_against_scan(f, inner, cand):
     """The grid-wide check raises at the scan's first failing point, with
     its message and point, or passes where the scan finds none."""
-    failing = _scan_reference(f, inner, cand)
+    failing = nested_scan(f, inner, cand)
     if failing is None:
         assert len(nested_bilinear_check(f, inner, cand)) == 3
         return
@@ -443,11 +390,8 @@ def test_nested_check_fails_where_the_evaluate_scan_does(data):
 
     def draw(name, dims, cod, zero=False):
         size = cod * prod(dims)
-        vals = [0] * size if zero else data.draw(
-            st.lists(NESTED_ENTRIES, min_size=size, max_size=size)
-        )
-        labels = default_labels(len(dims))
-        return MultiMap(name, len(dims), dims, cod, labels, tuple(map(Fraction, vals)))
+        vals = (Fraction(0),) * size if zero else draw_fractions(data, size, 9, 12)
+        return MultiMap(name, len(dims), dims, cod, default_labels(len(dims)), vals)
 
     f = draw("f", (dx, dy, dz), dl)
     inner = draw("m", (dx, dy), dz, zero=data.draw(st.booleans(), label="zero inner"))
@@ -542,9 +486,9 @@ def test_group_convolution_completely_regular(name):
 # ---------------------------------------------------------------------------
 # the structure checks as tensor equations, against the basis-loop scans
 #
-# The reference functions restate the scans the checks are defined by:
-# every basis tuple in lexicographic order, one evaluate per side, the
-# first failure reported.  Inputs are fixtures with at most one entry
+# The oracle's references restate the scans the checks are defined by:
+# every basis tuple in lexicographic order, the first failure reported.
+# Inputs are fixtures with at most one entry
 # perturbed by a nonzero rational, so the tensor equations must find the
 # same first failing tuple and give the same message.
 
@@ -554,77 +498,6 @@ def _error(check) -> str | None:
     except InvalidAlgebra as exc:
         return str(exc)
     return None
-
-
-def _ref_algebra_error(model: AlgebraModel) -> str | None:
-    pi, names = model.multiplication, model.basis_names
-    es = [basis_vector(model.dim, k) for k in range(model.dim)]
-    for i, j, k in product(range(model.dim), repeat=3):
-        left = evaluate(pi, [evaluate(pi, [es[i], es[j]]), es[k]])
-        right = evaluate(pi, [es[i], evaluate(pi, [es[j], es[k]])])
-        if left != right:
-            return f"associativity fails at ({names[i]}, {names[j]}, {names[k]})"
-    for k in range(model.dim):
-        if evaluate(pi, [model.unit, es[k]]) != es[k] or evaluate(pi, [es[k], model.unit]) != es[k]:
-            return f"unit law fails at basis {names[k]}"
-    return None
-
-
-def _ref_module_error(mod: BanachModuleModel) -> str | None:
-    n, d = mod.algebra.dim, mod.carrier_dim
-    pi, lact, ract = mod.algebra.multiplication, mod.left_action, mod.right_action
-    ea = [basis_vector(n, i) for i in range(n)]
-    ex = [basis_vector(d, i) for i in range(d)]
-    for i, j, m in product(range(n), range(n), range(d)):
-        ab = evaluate(pi, [ea[i], ea[j]])
-        if evaluate(lact, [ab, ex[m]]) != evaluate(lact, [ea[i], evaluate(lact, [ea[j], ex[m]])]):
-            return f"left module law fails at ({i}, {j}, {m})"
-        if evaluate(ract, [ex[m], ab]) != evaluate(ract, [evaluate(ract, [ex[m], ea[i]]), ea[j]]):
-            return f"right module law fails at ({m}, {i}, {j})"
-        if evaluate(lact, [ea[i], evaluate(ract, [ex[m], ea[j]])]) != evaluate(
-            ract, [evaluate(lact, [ea[i], ex[m]]), ea[j]]
-        ):
-            return f"action compatibility fails at ({i}, {m}, {j})"
-    return None
-
-
-def _ref_product_rule_error(pi: MultiMap, delta: MultiMap) -> str | None:
-    n = delta.codomain_dim
-    es = [basis_vector(n, k) for k in range(n)]
-    for a, b in product(range(n), repeat=2):
-        lhs = evaluate(delta, [evaluate(pi, [es[a], es[b]])])
-        rhs = tuple(
-            u + v
-            for u, v in zip(
-                evaluate(pi, [evaluate(delta, [es[a]]), es[b]]),
-                evaluate(pi, [es[a], evaluate(delta, [es[b]])]),
-            )
-        )
-        if lhs != rhs:
-            return f"product rule fails at (x^{a}, x^{b})"
-    return None
-
-
-def character_module(model: AlgebraModel, chi) -> BanachModuleModel:
-    """The algebra acting on a line through a character chi (carrier dim 1)."""
-    n = model.dim
-    lact = from_function("l", (n, 1), 1, lambda l, a, x: chi[a])
-    ract = from_function("r", (1, n), 1, lambda l, x, a: chi[a])
-    return BanachModuleModel(model, 1, lact, ract)
-
-
-def doubled_module(model: AlgebraModel) -> BanachModuleModel:
-    """The algebra acting on two copies of itself (carrier dim 2n)."""
-    n, pi = model.dim, model.multiplication
-
-    def act(l, a, x, left):
-        if l // n != x // n:
-            return 0
-        return pi.entry((l % n, a, x % n) if left else (l % n, x % n, a))
-
-    lact = from_function("l", (n, 2 * n), 2 * n, lambda l, a, x: act(l, a, x, True))
-    ract = from_function("r", (2 * n, n), 2 * n, lambda l, x, a: act(l, a, x, False))
-    return BanachModuleModel(model, 2 * n, lact, ract)
 
 
 ALGEBRAS = {
@@ -651,7 +524,7 @@ def test_modules_off_the_algebra_dim_are_valid():
         mod = MODULES[name]
         assert mod.carrier_dim != mod.algebra.dim
         mod.validate()
-        assert _ref_module_error(mod) is None
+        assert module_error(mod) is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -666,7 +539,7 @@ def test_algebra_validate_matches_basis_scan(name, data):
     else:
         unit = perturbed_entries(data, model.unit)
         model = AlgebraModel(model.dim, model.multiplication, unit, model.basis_names)
-    assert _error(model.validate) == _ref_algebra_error(model)
+    assert _error(model.validate) == algebra_error(model)
 
 
 @settings(max_examples=150, deadline=None)
@@ -685,7 +558,7 @@ def test_module_validate_matches_basis_scan(name, data):
     mod = BanachModuleModel(
         AlgebraModel(alg.dim, pi, alg.unit, alg.basis_names), mod.carrier_dim, lact, ract
     )
-    assert _error(mod.validate) == _ref_module_error(mod)
+    assert _error(mod.validate) == module_error(mod)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -693,7 +566,7 @@ def test_poly_fixtures_validate_and_obey_the_product_rule(n):
     model, delta = truncated_poly_algebra(n)
     model.validate()
     regular_module(model).validate()
-    assert _ref_product_rule_error(model.multiplication, delta) is None
+    assert product_rule_error(model.multiplication, delta) is None
 
 
 @pytest.mark.parametrize("k", range(1, 4))
@@ -701,6 +574,7 @@ def test_matrix_fixtures_validate(k):
     model = matrix_algebra(k)
     model.validate()
     regular_module(model).validate()
+    assert algebra_error(model) is None
 
 
 def test_structure_messages_are_pinned():
@@ -711,7 +585,7 @@ def test_structure_messages_are_pinned():
         tuple(v + (k == 0) for k, v in enumerate(pi.entries)),
     )
     bumped_model = AlgebraModel(3, bumped, model.unit, model.basis_names)
-    assert _error(bumped_model.validate) == _ref_algebra_error(bumped_model) == (
+    assert _error(bumped_model.validate) == algebra_error(bumped_model) == (
         "associativity fails at (1, 1, x)"
     )
     mod = MODULES["poly2-doubled"]
@@ -721,7 +595,7 @@ def test_structure_messages_are_pinned():
         tuple(v + (k == len(ract.entries) - 1) for k, v in enumerate(ract.entries)),
     )
     bad = BanachModuleModel(mod.algebra, 4, mod.left_action, bad_right)
-    assert _error(bad.validate) == _ref_module_error(bad) == "right module law fails at (2, 1, 1)"
+    assert _error(bad.validate) == module_error(bad) == "right module law fails at (2, 1, 1)"
 
 
 def test_structure_law_checks_refuse_a_stack_in_either_order():

@@ -163,8 +163,33 @@ def test_check_map_pair_corruption(tmp_path, capsys):
         ["check", "f^{****}", "f^{****}", "--map", str(good), "--map", str(bad)]
     )
     assert code == 1
-    out = capsys.readouterr().out
-    assert "at index" in out
+    assert capsys.readouterr().out == "FAIL  f^{****} != f^{****} at index [0, 1, 0, 1]: 9 vs 10\n"
+
+
+def test_check_map_of_distinct_prime_denominators_in_bounded_time(tmp_path, capsys):
+    # 4 000 entries 1/p, p > 10^5 prime: over one common denominator they
+    # would need the product of all 4 000 primes, so a map read from a file
+    # is moved and compared by its entries
+    top = 160_000
+    sieve = bytearray([1]) * top
+    for k in range(2, 400):
+        if sieve[k]:
+            sieve[k * k::k] = bytes(len(range(k * k, top, k)))
+    entries = tuple(Fraction(1, p) for p in range(100_001, top) if sieve[p])[:4000]
+    data = to_dict(MultiMap("f", 1, (4000,), 1, default_labels(1), entries))
+    good, changed = tmp_path / "primes.json", tmp_path / "changed.json"
+    good.write_text(json.dumps(data))
+    data["entries"][2345] = "1/7"
+    changed.write_text(json.dumps(data))
+    for argv, code, out in (
+        ([str(good)], 0, "PASS  f^{**} == f\n"),
+        ([str(good), "--map", str(changed)], 1,
+         "FAIL  f^{**} != f at index [0, 2345]: 1/127481 vs 1/7\n"),
+    ):
+        start = time.perf_counter()
+        assert main(["check", "f^{**}", "f", "--map", *argv]) == code
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == out
 
 
 def test_check_map_single_file(tmp_path, capsys):

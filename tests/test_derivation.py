@@ -5,7 +5,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from operator import mul
+from operator import mul, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +14,6 @@ from arenscalc.algebra import (
     AlgebraModel,
     BanachModuleModel,
     InvalidAlgebra,
-    group_algebra,
-    cayley_fixture,
     extensions,
     matrix_algebra,
     regular_module,
@@ -47,14 +45,14 @@ from arenscalc.tensor import (
     compose_into_slot,
     default_labels,
     equal,
-    evaluate,
     from_function,
     slice_slot,
     transpose,
     vector,
 )
 
-from perturbation import perturb
+from .oracle import apply, basis_tuples, character_module, doubled_module, perturb, plus
+from .oracle import slot_witnesses
 
 # ---------------------------------------------------------------------------
 # independent oracle for the degree-weighted fixture
@@ -123,12 +121,9 @@ def test_degree_weighted_identities_by_hand():
 
 
 def test_degree_weighted_fixture_matches_formula():
-    cand = derivation_fixture("poly3-euler")
-    for a, b, c in product(range(N), repeat=3):
-        got = evaluate(
-            cand.tri_map, [basis_vector(N, a), basis_vector(N, b), basis_vector(N, c)]
-        )
-        assert got == tuple(Fraction(v) for v in _d_mono(a, b, c))
+    d = apply(derivation_fixture("poly3-euler").tri_map)
+    for a, b, c in basis_tuples((N, N, N)):
+        assert d(a, b, c) == _d_mono(a, b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -198,21 +193,10 @@ def test_sum_form_witness_replay():
     # D(1,1,x) = x on the left, while the sum rule produces it twice
     model, delta = truncated_poly_algebra(3)
     mod = regular_module(model)
-    d = leibniz_sum(mod, delta, "sumD")
-    e0, x = basis_vector(3, 0), basis_vector(3, 1)
-    lhs = evaluate(d, [evaluate(model.multiplication, [e0, e0]), e0, x])
-    inner = evaluate(d, [e0, e0, x])
-    rhs = vector(
-        tuple(
-            u + v
-            for u, v in zip(
-                evaluate(mod.right_action, [inner, e0]),
-                evaluate(mod.left_action, [e0, inner]),
-            )
-        )
-    )
-    assert lhs == (0, 1, 0)
-    assert rhs == (0, 2, 0)
+    d, pi = apply(leibniz_sum(mod, delta, "sumD")), apply(model.multiplication)
+    inner = d(0, 0, 1)
+    assert d(pi(0, 0), 0, 1) == (0, 1, 0)
+    assert plus(apply(mod.right_action)(inner, 0), apply(mod.left_action)(0, inner)) == (0, 2, 0)
 
 
 def test_convolution_candidate_rejected_at_origin():
@@ -229,26 +213,6 @@ def test_matrix_inner_candidate_rejected():
     assert rep.last_slot == (0, 0, 0, 2)
 
 
-def test_matrix_inner_witness_replay():
-    cand = derivation_fixture("matrix2-inner")
-    d, mod = cand.tri_map, cand.module
-    pi = mod.algebra.multiplication
-    e11, e22 = basis_vector(4, 0), basis_vector(4, 3)
-    lhs = evaluate(d, [evaluate(pi, [e11, e22]), e11, e11])
-    inner_abc = evaluate(d, [e11, e11, e11])
-    inner_dbc = evaluate(d, [e22, e11, e11])
-    rhs = vector(
-        tuple(
-            u + v
-            for u, v in zip(
-                evaluate(mod.right_action, [inner_abc, e22]),
-                evaluate(mod.left_action, [e11, inner_dbc]),
-            )
-        )
-    )
-    assert lhs != rhs
-
-
 # ---------------------------------------------------------------------------
 # composites
 
@@ -256,12 +220,10 @@ def test_matrix_inner_witness_replay():
 def test_right_composite_matches_definition():
     cand = derivation_fixture("poly3-euler")
     a = basis_vector(3, 1)
-    phi = right_action_composite(cand, a)
-    d, ract = cand.tri_map, cand.module.right_action
-    for ic, ib, id_ in product(range(3), repeat=3):
-        ec, eb, ed = (basis_vector(3, k) for k in (ic, ib, id_))
-        want = evaluate(ract, [evaluate(d, [a, eb, ec]), ed])
-        assert evaluate(phi, [ec, eb, ed]) == want
+    phi = apply(right_action_composite(cand, a))
+    d, ract = apply(cand.tri_map), apply(cand.module.right_action)
+    for c, b, e in basis_tuples((3, 3, 3)):
+        assert phi(c, b, e) == ract(d(a, b, c), e)
 
 
 def test_right_composite_linear_in_anchor():
@@ -278,13 +240,10 @@ def test_right_composite_linear_in_anchor():
 def test_dual_composite_pairing_oracle():
     cand = derivation_fixture("poly3-euler")
     xstar = basis_vector(3, 2)
-    psi = dual_action_composite(cand, xstar)
-    d, lact = cand.tri_map, cand.module.left_action
-    for ia, id_, ib, ic in product(range(3), repeat=4):
-        ea, ed, eb, ec = (basis_vector(3, k) for k in (ia, id_, ib, ic))
-        got = sum(map(mul, evaluate(psi, [ea, ed, eb]), ec))
-        want = sum(map(mul, xstar, evaluate(lact, [eb, evaluate(d, [ea, ed, ec])])))
-        assert got == want
+    psi = apply(dual_action_composite(cand, xstar))
+    d, lact = apply(cand.tri_map), apply(cand.module.left_action)
+    for a, e, b, c in basis_tuples((3, 3, 3, 3)):
+        assert psi(a, e, b)[c] == sum(map(mul, xstar, lact(b, d(a, e, c))))
 
 
 def test_composites_vanish_on_zero_inputs():
@@ -365,86 +324,39 @@ def test_candidate_shape_mismatch():
 
 def test_matrix_inner_delta_is_commutator():
     # the inner map of the matrix fixture must be a -> [E12, a]
-    cand = derivation_fixture("matrix2-inner")
+    d = apply(derivation_fixture("matrix2-inner").tri_map)
     model = matrix_algebra(2)
-    mult = model.multiplication
-    e12 = basis_vector(4, 1)
+    mult, unit = apply(model.multiplication), model.unit
     # recover delta from the sum form at (a, 1, 1): D(a,e,e) = delta(a)
-    unit = model.unit
-    d = cand.tri_map
-    for k in range(4):
-        a = basis_vector(4, k)
-        got = evaluate(d, [a, unit, unit])
-        want_coords = tuple(
-            u - v
-            for u, v in zip(
-                evaluate(mult, [e12, a]), evaluate(mult, [a, e12])
-            )
-        )
-        assert got == want_coords
+    for a in range(4):
+        assert d(a, unit, unit) == tuple(map(sub, mult(1, a), mult(a, 1)))
 
 
 # ---------------------------------------------------------------------------
 # the slot identities as tensor equations, against the basis-quadruple scan
 #
-# The reference restates the scan the witnesses are defined by: every
-# basis quadruple (a, b, c, d) in lexicographic order, one evaluate per
-# term, the first failing quadruple per slot.  Inputs are candidates with
+# The oracle's reference restates the scan the witnesses are defined by:
+# every basis quadruple (a, b, c, d) in lexicographic order, the first
+# failing quadruple per slot.  Inputs are candidates with
 # at most one entry of D, the product or an action perturbed, including
 # modules whose carrier dim differs from the algebra dim.
-
-
-def _ref_witnesses(cand: TriDerivationCandidate):
-    D = cand.tri_map
-    pi = cand.module.algebra.multiplication
-    lact, ract = cand.module.left_action, cand.module.right_action
-    n = cand.module.algebra.dim
-    es = [basis_vector(n, k) for k in range(n)]
-    witness = [None, None, None]
-    for quad in product(range(n), repeat=4):
-        a, b, c, d = (es[k] for k in quad)
-        right_term = evaluate(ract, [evaluate(D, [a, b, c]), d])
-        for slot, x in enumerate((a, b, c)):
-            if witness[slot] is not None:
-                continue
-            args = [a, b, c]
-            args[slot] = evaluate(pi, [x, d])
-            lhs = evaluate(D, args)
-            args[slot] = d
-            left_term = evaluate(lact, [x, evaluate(D, args)])
-            if lhs != tuple(u + v for u, v in zip(right_term, left_term)):
-                witness[slot] = quad
-    return tuple(witness)
 
 
 def _cubed_point_derivation() -> TriDerivationCandidate:
     # x^k acts on a line by its value at 0; the product of three point
     # derivations p -> p'(0) is a tri-derivation into that line
-    model, _ = truncated_poly_algebra(3)
-    chi = (1, 0, 0)
-    lact = from_function("l", (3, 1), 1, lambda l, a, x: chi[a])
-    ract = from_function("r", (1, 3), 1, lambda l, x, a: chi[a])
     D = from_function("D", (3, 3, 3), 1, lambda l, a, b, c: a == b == c == 1)
-    return TriDerivationCandidate("poly3-at-zero", D, BanachModuleModel(model, 1, lact, ract))
+    module = character_module(truncated_poly_algebra(3)[0], (1, 0, 0))
+    return TriDerivationCandidate("poly3-at-zero", D, module)
 
 
 def _doubled_euler() -> TriDerivationCandidate:
     # poly3 acting on two copies of itself, D = (degree-weighted, 0)
     base = derivation_fixture("poly3-euler")
-    pi = base.module.algebra.multiplication
-
-    def act(l, a, x, left):
-        if l // 3 != x // 3:
-            return 0
-        return pi.entry((l % 3, a, x % 3) if left else (l % 3, x % 3, a))
-
-    lact = from_function("l", (3, 6), 6, lambda l, a, x: act(l, a, x, True))
-    ract = from_function("r", (6, 3), 6, lambda l, x, a: act(l, a, x, False))
     D = from_function(
         "D", (3, 3, 3), 6, lambda l, a, b, c: base.tri_map.entry((l, a, b, c)) if l < 3 else 0
     )
-    mod = BanachModuleModel(base.module.algebra, 6, lact, ract)
-    return TriDerivationCandidate("poly3-doubled", D, mod)
+    return TriDerivationCandidate("poly3-doubled", D, doubled_module(base.module.algebra))
 
 
 CANDIDATES = {name: derivation_fixture(name) for name in FIXTURE_NAMES}
@@ -681,7 +593,7 @@ def test_candidates_off_the_algebra_dim_hold(name):
     assert cand.module.carrier_dim != cand.module.algebra.dim
     cand.module.validate()
     assert is_tri_derivation(cand).holds
-    assert _ref_witnesses(cand) == (None, None, None)
+    assert slot_witnesses(cand) == (None, None, None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -705,41 +617,26 @@ def test_slot_witnesses_match_basis_scan(name, data):
     )
     rep = is_tri_derivation(cand)
     checks = (rep.first_slot, rep.middle_slot, rep.last_slot)
-    assert checks == _ref_witnesses(cand)
+    assert checks == slot_witnesses(cand)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_pinned_fixture_witnesses_match_basis_scan(name):
     rep = is_tri_derivation(CANDIDATES[name])
     got = (rep.first_slot, rep.middle_slot, rep.last_slot)
-    assert got == _ref_witnesses(CANDIDATES[name])
+    assert got == slot_witnesses(CANDIDATES[name])
 
 
 def test_sum_form_matches_its_definition():
     cand = derivation_fixture("matrix2-inner")
-    pi = cand.module.algebra.multiplication
-    e12 = basis_vector(4, 1)
-    es = [basis_vector(4, k) for k in range(4)]
+    pi, d = apply(cand.module.algebra.multiplication), apply(cand.tri_map)
 
-    def delta(u):
-        return vector(
-            tuple(
-                p - q
-                for p, q in zip(evaluate(pi, [e12, u]), evaluate(pi, [u, e12]))
-            )
-        )
+    def delta(u):  # u -> [E12, u]
+        return tuple(map(sub, pi(1, u), pi(u, 1)))
 
-    def term(u, v, w):
-        return evaluate(pi, [evaluate(pi, [u, v]), w])
-
-    for a, b, c in product(es, repeat=3):
-        want = tuple(
-            x + y + z
-            for x, y, z in zip(
-                term(delta(a), b, c), term(a, delta(b), c), term(a, b, delta(c))
-            )
-        )
-        assert evaluate(cand.tri_map, [a, b, c]) == want
+    for a, b, c in basis_tuples((4, 4, 4)):
+        terms = pi(pi(delta(a), b), c), pi(pi(a, delta(b)), c), pi(pi(a, b), delta(c))
+        assert d(a, b, c) == tuple(map(sum, zip(*terms)))
 
 
 def _dual_composite_per_functional(cand, xstar, name):

@@ -10,8 +10,6 @@ from arenscalc.expr import (
     FLIP_PERMS,
     ExprAst,
     FlipArityMismatch,
-    compose_flips,
-    flip_perm,
     parse,
 )
 from arenscalc.semantics import (
@@ -30,6 +28,8 @@ from arenscalc.semantics import (
     limit_order,
     natural_extensions,
 )
+
+from .oracle import AXES, limit_order_by_states
 
 # the six extension shapes and their iterated limit orders, outermost first
 GOLDEN_ORDERS = {
@@ -248,9 +248,7 @@ def test_classify_respects_equivalence_through_trailing_flips():
 
 # ---------------------------------------------------------------------------
 # restated references: the condition table as typed out by hand, and the
-# limit-order state machine, both checked against the derived versions
-
-AXES = ("in1", "in2", "in3")
+# oracle's limit-order state machine, both checked against the derived versions
 
 # unordered pair of leading-flip permutations -> flip of the base map whose
 # close-to-regularity the interchange amounts to ("" = the base map itself)
@@ -287,27 +285,6 @@ def test_condition_name_matches_hand_table_on_all_pairs():
     assert named == 6
 
 
-def _state_machine_limit_order(ops):
-    lead = (0, 1, 2)
-    adjoints = 0
-    state = "lead"
-    for op in ops:
-        if op == "*":
-            if state == "trail":
-                return None
-            state = "adj"
-            adjoints += 1
-        else:
-            perm = flip_perm(op, 3)
-            if state == "lead":
-                lead = compose_flips(lead, perm)
-            else:
-                state = "trail"
-    if adjoints != 4:
-        return None
-    return tuple(AXES[k] for k in lead)
-
-
 # flip runs joined by adjoints: 0-6 adjoints with flips before, between
 # and after them
 _flip_runs = st.lists(st.text(alphabet="ijrts", max_size=3), min_size=1, max_size=7)
@@ -317,7 +294,7 @@ _flip_runs = st.lists(st.text(alphabet="ijrts", max_size=3), min_size=1, max_siz
 @given(_flip_runs)
 def test_limit_order_matches_state_machine(runs):
     ops = tuple("*".join(runs))
-    assert limit_order(ExprAst("f", ops)) == _state_machine_limit_order(ops)
+    assert limit_order(ExprAst("f", ops)) == limit_order_by_states(ops)
 
 
 @settings(max_examples=200, deadline=None)
@@ -329,4 +306,4 @@ def test_limit_order_matches_state_machine(runs):
 def test_limit_order_four_adjoints_matches_state_machine(lead, between, trail):
     # flips between the adjoints are the case the canonical test rules out
     ops = tuple(lead + "*" + "*".join(between) + "*" + trail)
-    assert limit_order(ExprAst("f", ops)) == _state_machine_limit_order(ops)
+    assert limit_order(ExprAst("f", ops)) == limit_order_by_states(ops)

@@ -40,13 +40,11 @@ from arenscalc.tensor import (
     vector,
 )
 
+from .oracle import apply, basis_tuples, composed, draw_map, draw_vector, equal_scan, fold, sliced
+
 
 def _random_vector(rng, dim):
     return vector([rng.randint(-5, 5) for _ in range(dim)])
-
-
-def _basis_tuples(dims):
-    return product(*(range(d) for d in dims))
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +59,7 @@ def test_adjoint_pairing_identity_all_arities():
             cod = rng.choice((1, 2, 3))
             f = random_map(arity, dims, cod, seed=rng.randint(0, 10**6))
             g = adjoint(f)
-            for idx in _basis_tuples((cod,) + dims):
+            for idx in basis_tuples((cod,) + dims):
                 wstar = basis_vector(cod, idx[0])
                 args = [basis_vector(d, i) for d, i in zip(dims, idx[1:])]
                 lhs = sum(map(mul, evaluate(g, [wstar] + args[:-1]), args[-1]))
@@ -74,7 +72,7 @@ def test_adjoint_entry_rule():
     g = adjoint(f)
     assert g.input_dims == (2, 2, 3)
     assert g.codomain_dim == 2
-    for l, i, j, k in _basis_tuples(f.shape):
+    for l, i, j, k in basis_tuples(f.shape):
         assert g.entry((k, l, i, j)) == f.entry((l, i, j, k))
 
 
@@ -114,7 +112,7 @@ def test_flip_entry_rule():
     f = random_map(3, (2, 3, 4), 2, seed=7)
     ft = flip(f, "t")
     assert ft.input_dims == (4, 2, 3)
-    for l, i, j, k in _basis_tuples(f.shape):
+    for l, i, j, k in basis_tuples(f.shape):
         assert ft.entry((l, k, i, j)) == f.entry((l, i, j, k))
 
 
@@ -374,52 +372,6 @@ def test_expr_ast_base_name_is_notational():
 # contraction evaluate against a per-index sum
 
 WORD_ALPHABET = {1: "*", 2: "*r", 3: "*ijrts", 4: "*"}
-FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
-INTEGERS = st.builds(Fraction, st.integers(-9, 9))
-ZEROS = st.just(Fraction(0))
-
-
-def _fold(word, base):
-    out = base
-    for op in word:
-        out = adjoint(out) if op == "*" else flip(out, op)
-    return out
-
-
-def _evaluate_by_index(m, args):
-    coords = []
-    for l in range(m.codomain_dim):
-        total = Fraction(0)
-        for idx in _basis_tuples(m.input_dims):
-            term = m.entry((l,) + idx)
-            for v, i in zip(args, idx):
-                term *= v[i]
-            total += term
-        coords.append(total)
-    return tuple(coords)
-
-
-def _draw_map(data, arity, codomain_dim=None, shape=None):
-    """A map of ``arity`` with drawn dims, or of the given ``shape``."""
-    if shape is None:
-        shape = data.draw(st.lists(st.integers(1, 3), min_size=arity + 1, max_size=arity + 1))
-    dims = list(shape)
-    if codomain_dim is not None:
-        dims[0] = codomain_dim
-    # integer-only maps, maps with mixed denominators, and all-zero maps
-    kind = data.draw(st.sampled_from((FRACTIONS, INTEGERS, ZEROS)), label="entry kind")
-    values = iter(data.draw(st.lists(kind, min_size=prod(dims), max_size=prod(dims))))
-    return from_function("f", dims[1:], dims[0], lambda *_: next(values))
-
-
-def _draw_vector(data, dim):
-    """Mixed-denominator coordinates, the zero vector, or a (scaled) one-hot vector."""
-    kind = data.draw(st.sampled_from(("mixed", "zero", "one-hot")), label="vector kind")
-    if kind == "mixed":
-        return tuple(data.draw(st.lists(FRACTIONS, min_size=dim, max_size=dim)))
-    k = data.draw(st.integers(0, dim - 1))
-    c = 0 if kind == "zero" else data.draw(st.sampled_from((1, -1, Fraction(-3, 2))))
-    return tuple(Fraction(c if i == k else 0) for i in range(dim))
 
 
 @settings(max_examples=200, deadline=None)
@@ -428,10 +380,10 @@ def test_realize_equals_step_by_step_fold(data):
     arity = data.draw(st.integers(1, 4))
     letters = WORD_ALPHABET[arity]
     # a base reached by a prefix word carries starred, reordered labels
-    base = _fold(data.draw(st.text(letters, max_size=4)), _draw_map(data, arity))
+    base = fold(data.draw(st.text(letters, max_size=4)), draw_map(data, arity))
     word = data.draw(st.text(letters, max_size=12))
     got = realize(ExprAst("f", tuple(word)), base)
-    want = _fold(word, base)
+    want = fold(word, base)
     assert got.axis_labels == want.axis_labels
     assert got.shape == want.shape
     assert got.entries == want.entries
@@ -442,19 +394,19 @@ def test_realize_equals_step_by_step_fold_on_every_short_word(arity):
     letters = WORD_ALPHABET[arity]
     # distinct dims on every axis, so a misplaced axis changes the shape
     f = random_map(arity, tuple(range(2, arity + 2)), 1, seed=71)
-    base = _fold("*" + letters[1:2], f)  # starred, reordered labels
+    base = fold("*" + letters[1:2], f)  # starred, reordered labels
     # a second base of the same arity with other dims, name and labels
-    other = _fold(letters[1:][-1:] + "*", random_map(arity, (3,) * arity, 2, seed=72, name="g"))
+    other = fold(letters[1:][-1:] + "*", random_map(arity, (3,) * arity, 2, seed=72, name="g"))
     for length in range(6):
         for word in product(letters, repeat=length):
             got = realize(ExprAst("f", word), base)
-            want = _fold(word, base)
+            want = fold(word, base)
             assert (got.axis_labels, got.shape) == (want.axis_labels, want.shape), word
             assert got.entries == want.entries, word
             # one prepared fold serves every base of its arity
-            fold = realizer(ExprAst("f", word), arity)
-            assert fold(base) == got, word
-            assert fold(other) == realize(ExprAst("g", word), other), word
+            prepared = realizer(ExprAst("f", word), arity)
+            assert prepared(base) == got, word
+            assert prepared(other) == realize(ExprAst("g", word), other), word
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
@@ -468,68 +420,38 @@ def test_realizer_rejects_a_map_of_another_arity(arity):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_evaluate_equals_per_index_reference(data):
-    f = _draw_map(data, data.draw(st.integers(1, 3)))
-    args = [_draw_vector(data, d) for d in f.input_dims]
+    f = draw_map(data, data.draw(st.integers(1, 3)))
+    args = [draw_vector(data, d) for d in f.input_dims]
     got = evaluate(f, args)
-    assert got == _evaluate_by_index(f, args)
+    assert got == apply(f)(*args)
     assert all(type(c) is Fraction for c in got)
-
-
-def _slice_by_index(m, slot, v):
-    """``slice_slot`` restated: one Fraction sum per result entry."""
-    dims = m.input_dims[: slot - 1] + m.input_dims[slot:]
-    return tuple(
-        sum(
-            (m.entry((l,) + idx[: slot - 1] + (j,) + idx[slot - 1:]) * v[j]
-             for j in range(len(v))),
-            Fraction(0),
-        )
-        for l in range(m.codomain_dim)
-        for idx in _basis_tuples(dims)
-    )
-
-
-def _compose_by_index(outer, inner, slot):
-    """``compose_into_slot`` restated: one Fraction sum per result entry."""
-    pre, post = outer.input_dims[: slot - 1], outer.input_dims[slot:]
-    k = slot - 1
-    return tuple(
-        sum(
-            (outer.entry((l,) + idx[:k] + (j,) + idx[k + inner.arity:])
-             * inner.entry((j,) + idx[k:k + inner.arity])
-             for j in range(inner.codomain_dim)),
-            Fraction(0),
-        )
-        for l in range(outer.codomain_dim)
-        for idx in _basis_tuples(pre + inner.input_dims + post)
-    )
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_slice_slot_equals_per_index_sums(data):
-    m = _draw_map(data, data.draw(st.integers(2, 3)))
+    m = draw_map(data, data.draw(st.integers(2, 3)))
     slot = data.draw(st.integers(1, m.arity))
-    v = _draw_vector(data, m.input_dims[slot - 1])
+    v = draw_vector(data, m.input_dims[slot - 1])
     got = slice_slot(m, slot, v)
-    assert got.entries == _slice_by_index(m, slot, v)
+    assert got.entries == sliced(m, slot, v)
     assert all(type(e) is Fraction for e in got.entries)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_compositions_equal_per_index_sums(data):
-    outer = _draw_map(data, data.draw(st.integers(1, 3)))
+    outer = draw_map(data, data.draw(st.integers(1, 3)))
     slot = data.draw(st.integers(1, outer.arity))
-    inner = _draw_map(data, data.draw(st.integers(1, 2)), outer.input_dims[slot - 1])
+    inner = draw_map(data, data.draw(st.integers(1, 2)), outer.input_dims[slot - 1])
     got = compose_into_slot(outer, inner, slot)
-    assert got.entries == _compose_by_index(outer, inner, slot)
+    assert got.entries == composed(outer, inner, slot)
     assert all(type(e) is Fraction for e in got.entries)
-    post = _draw_map(data, 1)
-    m = _draw_map(data, data.draw(st.integers(1, 3)), post.input_dims[0])
+    post = draw_map(data, 1)
+    m = draw_map(data, data.draw(st.integers(1, 3)), post.input_dims[0])
     got = compose_codomain(post, m)
     assert got.axis_labels == m.axis_labels
-    assert got.entries == _compose_by_index(post, m, 1)
+    assert got.entries == composed(post, m, 1)
     assert all(type(e) is Fraction for e in got.entries)
 
 
@@ -543,7 +465,7 @@ def test_evaluate_at_zero_gives_fraction_zeros():
 def test_long_word_realizes_with_one_transpose(monkeypatch):
     f = random_map(3, (2, 3, 2), 2, seed=61)
     word = "****ts" * 1666 + "***i"  # 10 000 ops, net effect f^{***i}
-    want = _fold("***i", f)
+    want = fold("***i", f)
     calls = []
     real_transpose = tensor_module.transpose
 
@@ -562,31 +484,6 @@ def test_long_word_realizes_with_one_transpose(monkeypatch):
 # oracles for equal, random_map and permutation plans
 
 
-def _equal_reference(left, right):
-    """``equal`` restated: align ``right`` through ``transpose``, then scan
-    every index in row-major order."""
-    if left.arity != right.arity:
-        raise ShapeMismatch(f"arity {left.arity} vs {right.arity}")
-    if set(right.axis_labels) != set(left.axis_labels):
-        raise ShapeMismatch(
-            f"cannot align labels {right.axis_labels} to {left.axis_labels}"
-        )
-    aligned = tensor_module.transpose(
-        right, tuple(right.axis_labels.index(lab) for lab in left.axis_labels)
-    )
-    if aligned.shape != left.shape:
-        raise ShapeMismatch(
-            f"dims {left.shape} vs {aligned.shape} after label alignment"
-        )
-    for idx in _basis_tuples(left.shape):
-        a, b = left.entry(idx), aligned.entry(idx)
-        if a != b:
-            return tensor_module.IdentityReport(
-                left.name, right.name, False, (idx, str(a), str(b))
-            )
-    return tensor_module.IdentityReport(left.name, right.name, True)
-
-
 PERTURBATIONS = st.sampled_from(
     [Fraction(1), Fraction(-2, 3), Fraction(1, 10**4), Fraction(-1, 10**12)]
 )
@@ -596,7 +493,7 @@ PERTURBATIONS = st.sampled_from(
 @given(st.data())
 def test_equal_matches_transpose_and_scan_reference(data):
     arity = data.draw(st.integers(1, 3))
-    left = _fold(data.draw(st.text(WORD_ALPHABET[arity], max_size=4)), _draw_map(data, arity))
+    left = fold(data.draw(st.text(WORD_ALPHABET[arity], max_size=4)), draw_map(data, arity))
     # the right side: the same map with its axes (codomain included) in
     # another order, sometimes with fresh but equal Fraction objects
     axes = tuple(data.draw(st.permutations(range(arity + 1))))
@@ -614,7 +511,7 @@ def test_equal_matches_transpose_and_scan_reference(data):
         right.name, right.arity, right.input_dims, right.codomain_dim,
         right.axis_labels, tuple(entries),
     )
-    assert equal(left, right) == _equal_reference(left, right)
+    assert equal(left, right) == equal_scan(left, right)
 
 
 def test_equal_shape_mismatch_messages():
@@ -739,7 +636,7 @@ def test_from_function_keeps_every_result_exact_and_shares_integers():
     )
     for fn in results:
         got = from_function("h", (3,), 2, fn)
-        assert got.entries == tuple(Fraction(fn(*idx)) for idx in _basis_tuples((2, 3)))
+        assert got.entries == tuple(Fraction(fn(*idx)) for idx in basis_tuples((2, 3)))
         assert all(type(e) is Fraction and type(e.numerator) is int for e in got.entries)
     a, b = (from_function(name, (3,), 2, results[0]) for name in "ab")
     assert all(x is y for x, y in zip(a.entries, b.entries))
@@ -753,7 +650,7 @@ def test_permutation_plan_reused_across_maps_of_one_shape():
         m = random_map(3, shape[1:], shape[0], seed=seed)
         got = tensor_module.transpose(m, axes)
         assert got.shape == tuple(shape[a] for a in axes)
-        for idx in _basis_tuples(shape):
+        for idx in basis_tuples(shape):
             assert got.entry(tuple(idx[a] for a in axes)) == m.entry(idx)
     info = tensor_module._plan.cache_info()
     assert (info.misses, info.hits) == (1, 1)
@@ -773,7 +670,7 @@ def test_permute_matches_index_arithmetic(shape):
             new_shape = tuple(shape[a] for a in axes)
             want = []
             for k in range(n):
-                for idx in _basis_tuples(new_shape):
+                for idx in basis_tuples(new_shape):
                     old = [0] * len(shape)
                     for b, a in enumerate(axes):
                         old[a] = idx[b]
@@ -831,7 +728,7 @@ def test_stack_realizes_and_compares_as_each_map_alone(data):
     # every map reached by one prefix word, so all carry one set of starred labels
     prefix = data.draw(st.text(letters, max_size=3))
     maps = [
-        _fold(prefix, random_map(arity, dims[1:], dims[0], seed=data.draw(st.integers(0, 1 << 30))))
+        fold(prefix, random_map(arity, dims[1:], dims[0], seed=data.draw(st.integers(0, 1 << 30))))
         for _ in range(data.draw(st.integers(1, 4), label="instances"))
     ]
     word = ExprAst("f", tuple(data.draw(st.text(letters, max_size=8))))
@@ -855,7 +752,7 @@ def test_stack_realizes_and_compares_as_each_map_alone(data):
 
 
 def test_a_stack_of_one_is_the_map_itself():
-    f = _fold("*t", random_map(3, (2, 3, 1), 2, seed=74))
+    f = fold("*t", random_map(3, (2, 3, 1), 2, seed=74))
     assert stack([f]) == f
     word = parse("f^{i****i}")
     assert realize(word, stack([f])) == realize(word, f)
@@ -899,24 +796,24 @@ def test_single_map_readers_refuse_stacks():
 
 def _draw_stack(data, first, n):
     """``first`` and n - 1 more drawn maps of its shape, one by one."""
-    return [first] + [_draw_map(data, first.arity, shape=first.shape) for _ in range(n - 1)]
+    return [first] + [draw_map(data, first.arity, shape=first.shape) for _ in range(n - 1)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_stacked_compositions_unstack_into_each_single_one(data):
     n = data.draw(st.integers(1, 4), label="instances")
-    outer = _draw_map(data, data.draw(st.integers(1, 3)))
+    outer = draw_map(data, data.draw(st.integers(1, 3)))
     slot = data.draw(st.integers(1, outer.arity))
-    inner = _draw_map(data, data.draw(st.integers(1, 2)), outer.input_dims[slot - 1])
+    inner = draw_map(data, data.draw(st.integers(1, 2)), outer.input_dims[slot - 1])
     outers, inners = _draw_stack(data, outer, n), _draw_stack(data, inner, n)
     got = compose_into_slot(stack(outers), stack(inners), slot)
     assert got.instances == n
     assert _unstacked(got) == [compose_into_slot(o, i, slot) for o, i in zip(outers, inners)]
     _check_lane(got, held=all(m.lane[1] == 1 for m in outers + inners))
-    post = _draw_map(data, 1)
+    post = draw_map(data, 1)
     posts = _draw_stack(data, post, n)
-    maps = _draw_stack(data, _draw_map(data, data.draw(st.integers(1, 3)), post.input_dims[0]), n)
+    maps = _draw_stack(data, draw_map(data, data.draw(st.integers(1, 3)), post.input_dims[0]), n)
     got = compose_codomain(stack(posts), stack(maps))
     assert got.instances == n and got.axis_labels == maps[0].axis_labels
     assert _unstacked(got) == [compose_codomain(p, m) for p, m in zip(posts, maps)]
@@ -949,16 +846,16 @@ def _check_lane(m, held):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_every_held_lane_is_the_one_the_entries_give(data):
-    outer = _draw_map(data, data.draw(st.integers(1, 3)))
+    outer = draw_map(data, data.draw(st.integers(1, 3)))
     slot = data.draw(st.integers(1, outer.arity))
-    inner = _draw_map(data, data.draw(st.integers(1, 2)), outer.input_dims[slot - 1])
+    inner = draw_map(data, data.draw(st.integers(1, 2)), outer.input_dims[slot - 1])
     integral = outer.lane[1] == inner.lane[1] == 1
     _check_lane(compose_into_slot(outer, inner, slot), held=integral)
-    post = _draw_map(data, 1, data.draw(st.integers(1, 3)))
-    m = _draw_map(data, data.draw(st.integers(1, 3)), post.input_dims[0])
+    post = draw_map(data, 1, data.draw(st.integers(1, 3)))
+    m = draw_map(data, data.draw(st.integers(1, 3)), post.input_dims[0])
     _check_lane(compose_codomain(post, m), held=post.lane[1] == m.lane[1] == 1)
     if outer.arity > 1:
-        v = _draw_vector(data, outer.input_dims[slot - 1])
+        v = draw_vector(data, outer.input_dims[slot - 1])
         held = outer.lane[1] == 1 and all(x.denominator == 1 for x in v)
         _check_lane(slice_slot(outer, slot, v), held)
     # a transpose of a source built from entries holds no lane, a stack
@@ -1050,10 +947,10 @@ def test_float_coordinates_are_read_at_their_exact_value():
     f = random_map(2, (2, 3), 2, seed=1)
     args = ([1.5, 2], [1, 0, 1])
     exact = tuple(map(vector, args))
-    assert evaluate(f, args) == evaluate(f, exact) == _evaluate_by_index(f, exact)
+    assert evaluate(f, args) == evaluate(f, exact) == apply(f)(*exact)
     assert slice_slot(f, 1, [0.1, 2]) == slice_slot(f, 1, vector([0.1, 2]))  # 0.1's binary value
     v = [1.5, 0, -0.25]
-    assert slice_slot(f, 2, v).entries == _slice_by_index(f, 2, vector(v))
+    assert slice_slot(f, 2, v).entries == sliced(f, 2, vector(v))
 
 
 def test_replaced_entries_get_a_fresh_lane():
@@ -1065,13 +962,13 @@ def test_replaced_entries_get_a_fresh_lane():
     g = dataclasses.replace(f, entries=(f.entries[0] + Fraction(1, 2),) + f.entries[1:])
     assert "lane" not in vars(g)
     assert g.lane == tensor_module._integers(g.entries) and g.lane[1] == 2
-    assert evaluate(g, args) == tuple(_evaluate_by_index(g, args))
+    assert evaluate(g, args) == apply(g)(*args)
     assert evaluate(g, args)[0] == before[0] + Fraction(1, 2)
     assert evaluate(f, args) == before
 
 
 def test_a_checked_map_equals_the_validated_one():
-    f = _fold("*t", random_map(3, (2, 1, 3), 2, seed=80))
+    f = fold("*t", random_map(3, (2, 1, 3), 2, seed=80))
     fields = [k.name for k in dataclasses.fields(MultiMap)]
     for m in (
         tensor_module._checked(f.name, f.input_dims, f.codomain_dim, f.axis_labels, f.entries),
