@@ -52,6 +52,7 @@ from .oracle import (
     nested_scan,
     perturb,
     perturbed_entries,
+    plus,
     product_rule_error,
 )
 
@@ -189,6 +190,17 @@ def test_poly_derivation_weights():
     assert evaluate(delta, [basis_vector(3, 2)]) == (0, 0, 2)
 
 
+def test_poly_derivation_product_rule_brute_force():
+    model, delta = truncated_poly_algebra(4)
+    pi = model.multiplication
+    for a, b in product(range(4), repeat=2):
+        ea, eb = basis_vector(4, a), basis_vector(4, b)
+        lhs = evaluate(delta, [evaluate(pi, [ea, eb])])
+        rhs = plus(evaluate(pi, [evaluate(delta, [ea]), eb]),
+                   evaluate(pi, [ea, evaluate(delta, [eb])]))
+        assert lhs == rhs
+
+
 def test_poly_needs_degree_two():
     with pytest.raises(InvalidAlgebra):
         truncated_poly_algebra(1)
@@ -207,6 +219,15 @@ def test_matrix_units_multiply():
     assert evaluate(mult, [e12, e21]) == e11
     assert evaluate(mult, [e21, e12]) == e22
     assert model.unit == vector((1, 0, 0, 1))
+
+
+def test_matrix_associativity_all_triples():
+    mult = matrix_algebra(2).multiplication
+    es = [basis_vector(4, k) for k in range(4)]
+    for a, b, c in product(es, repeat=3):
+        left = evaluate(mult, [evaluate(mult, [a, b]), c])
+        right = evaluate(mult, [a, evaluate(mult, [b, c])])
+        assert left == right
 
 
 def test_matrix_scalar_case():

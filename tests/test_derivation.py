@@ -213,6 +213,17 @@ def test_matrix_inner_candidate_rejected():
     assert rep.last_slot == (0, 0, 0, 2)
 
 
+def test_matrix_inner_witness_replay():
+    # quadruple (E11, E22, E11, E11): E11 E22 = 0 leaves D(0, E11, E11) = 0
+    # on the left, while D(E11, E11, E11) E22 = -E12 on the right
+    cand = derivation_fixture("matrix2-inner")
+    mod = cand.module
+    d, pi = apply(cand.tri_map), apply(mod.algebra.multiplication)
+    lhs = d(pi(0, 3), 0, 0)
+    rhs = plus(apply(mod.right_action)(d(0, 0, 0), 3), apply(mod.left_action)(0, d(3, 0, 0)))
+    assert lhs != rhs
+
+
 # ---------------------------------------------------------------------------
 # composites
 
