@@ -54,8 +54,6 @@ def default_labels(arity: int) -> tuple[str, ...]:
 del default_labels.__wrapped__  # the bench tracer reads a __wrapped__ as a wrapper left installed
 
 
-_UNMOVED: dict[int, tuple[tuple[str, int], ...]] = {}  # base axes at level 0, per arity
-
 Perm = tuple[int, ...]
 LimitOrder = tuple[str, ...]
 
@@ -74,10 +72,7 @@ class AxisAssignment(
 
 
 def axis_semantics(expr: ExprAst, base_arity: int = 3) -> AxisAssignment:
-    unmoved = _UNMOVED.get(base_arity)
-    if unmoved is None:
-        unmoved = _UNMOVED[base_arity] = tuple((axis, 0) for axis in default_labels(base_arity))
-    cod, *slots = unmoved
+    cod, *slots = ((axis, 0) for axis in default_labels(base_arity))
     for op in expr.ops:
         if op == ADJOINT:
             moved_in = (cod[0], cod[1] + 1)

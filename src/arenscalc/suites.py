@@ -47,7 +47,6 @@ from .semantics import (
     natural_extensions,
 )
 from .tensor import (
-    MultiMap,
     compose_codomain,
     compose_into_slot,
     equal,
@@ -142,19 +141,22 @@ def _disagree(maps) -> str:
     return ""
 
 
-def _stacks(roles, parts) -> list[MultiMap]:
-    """One stack per role, instance k of role r the ``random_map`` of seed ``parts[k][r]``."""
-    return [_draw(seeds, *role) for role, seeds in zip(roles, zip(*parts))]
+def _stacks(roles, parts) -> list:
+    """One stack per role, instance k of role r the ``random_map`` of seed
+    ``parts[k][r]``, then each later part of the instances laid end to end."""
+    columns = tuple(zip(*parts))
+    maps = [_draw(seeds, *role) for role, seeds in zip(roles, columns)]
+    return maps + [tuple(chain.from_iterable(rest)) for rest in columns[len(roles):]]
 
 
-def _failures(check, count: int, draw, build=_stacks) -> list:
+def _failures(check, count: int, draw) -> list:
     """``(k, check(*instance k))`` for each failing instance k < ``count``,
     in order, where ``check`` gives something false on a pass.  ``draw()``
     draws the next instance as ``(roles, parts)``: the roles, each
     ``(arity, input_dims, codomain_dim, name)``, and what it is built from,
-    one seed per role by default.  ``CHUNK`` instances at a time are
-    grouped by roles, and ``build(roles, parts)`` builds each group into
-    the arguments of one ``check``; a group that fails is built and checked
+    one seed per role and then any further parts.  ``CHUNK`` instances at a
+    time are grouped by roles, and ``_stacks`` builds each group into the
+    arguments of one ``check``; a group that fails is built and checked
     again instance by instance, from its own parts."""
     failures = []
     for start in range(0, count, CHUNK):
@@ -163,8 +165,8 @@ def _failures(check, count: int, draw, build=_stacks) -> list:
             roles, parts = draw()
             groups.setdefault(roles, []).append((k, parts))
         for roles, drawn in groups.items():
-            if check(*build(roles, [parts for _, parts in drawn])):
-                singles = ((k, check(*build(roles, [parts]))) for k, parts in drawn)
+            if check(*_stacks(roles, [parts for _, parts in drawn])):
+                singles = ((k, check(*_stacks(roles, [parts]))) for k, parts in drawn)
                 failures += [(k, bad) for k, bad in singles if bad]
     return sorted(failures)  # instances are unique, so the order is theirs
 
@@ -263,12 +265,8 @@ def run_slice_bridge_suite(seed: int, pairs: int = 25, dims: Dims = None) -> Sec
         roles, parts = _tri(rng, dims)
         return roles, parts + (vector(rng.randint(-9, 9) for _ in range(roles[0][2])),)
 
-    def build(roles, parts):  # the maps as one stack, then their functionals end to end
-        seeds, ws = zip(*parts)
-        return _draw(seeds, *roles[0]), tuple(chain.from_iterable(ws))
-
     failures = _failures(lambda f, w: [row for row in slice_bridge_check(f, w)[1] if not row[1]],
-                         pairs, draw, build)
+                         pairs, draw)
     results = (result for _, bad in failures for result in bad)
     return "Bilinear slice bridge", tuple(tally_rows(results, f"{pairs}/{pairs} pairs", BRIDGE_ROWS))
 

@@ -343,9 +343,6 @@ def evaluate(m: MultiMap, args) -> tuple[Fraction, ...]:
     return tuple(_fractions(vals, den))
 
 
-_AXIS_INDEX: dict[int, dict[str, int]] = {}  # base axis name -> position, per arity
-
-
 def realizer(expr: ExprAst, arity: int) -> Callable[[MultiMap], MultiMap]:
     """Fold an expression's operations once, for base maps of ``arity``.
 
@@ -355,9 +352,7 @@ def realizer(expr: ExprAst, arity: int) -> Callable[[MultiMap], MultiMap]:
     base map.
     """
     asg = semantics.axis_semantics(expr, arity)
-    index = _AXIS_INDEX.get(arity)
-    if index is None:
-        index = _AXIS_INDEX[arity] = {a: k for k, a in enumerate(default_labels(arity))}
+    index = {a: k for k, a in enumerate(default_labels(arity))}
     axes = tuple(map(index.__getitem__, (asg.codomain_axis,) + asg.slot_axes))
     levels = (asg.codomain_level,) + asg.slot_levels
     suffix = ExprAst("", expr.ops).render()

@@ -610,6 +610,8 @@ def test_report_default_bytes_are_pinned(tmp_path, capsys):
         # larger stacks: 300 instances per chain word pair, factorization
         # role and slice bridge
         ("21 --trials 40 --instances 300", "721002ddd64aae7973b481c5fbbbada0"),
+        # a sweep of three chunks: 600 trials laid out 256, 256 and 88
+        ("4 --trials 600 --instances 2", "fcaaf29ff7414378686dc7de19ef2e86"),
     ],
 )
 def test_report_bytes_are_pinned_at_more_seeds(tmp_path, capsys, args, md5):

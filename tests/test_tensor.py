@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
+import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm, prod
@@ -15,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import arenscalc.tensor as tensor_module
 from arenscalc.expr import ExprAst, parse
+from arenscalc.semantics import limit_order
 from arenscalc.tensor import (
     DimensionMismatch,
     MultiMap,
@@ -480,6 +484,32 @@ def test_long_word_realizes_with_one_transpose(monkeypatch):
     assert got.entries == want.entries
 
 
+def test_folds_at_many_arities_leave_nothing_held_once_the_caches_clear():
+    # the fold builds its axis tables per call: once every functools cache
+    # of the package is cleared, realizing words and reading limit orders
+    # at arities 1 .. 300 leaves no allocation of an arenscalc file behind
+    # past a small floor
+    package = Path(tensor_module.__file__).parent
+    tracemalloc.start()
+    try:
+        for arity in range(1, 301):
+            f = random_map(arity, (1,) * arity, 1, seed=arity)
+            realize(ExprAst("f", ("*",) * (arity % 5 + 1)), f)
+            limit_order(ExprAst("f", ("*",) * 4), arity)  # classify has no signature past 3
+        del f
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "arenscalc":
+                for value in vars(module).values():
+                    if hasattr(value, "cache_clear"):
+                        value.cache_clear()
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = snapshot.filter_traces([tracemalloc.Filter(True, str(package / "*"))])
+    assert sum(stat.size for stat in held.statistics("filename")) < 256 * 1024
+
+
 # ---------------------------------------------------------------------------
 # oracles for equal, random_map and permutation plans
 
@@ -865,28 +895,36 @@ def test_every_held_lane_is_the_one_the_entries_give(data):
     fresh = dataclasses.replace(outer, name="g")
     many = stack([outer, fresh])
     _check_lane(many, held=False)  # reads the stack's lane, which it then holds
-    for source in (fresh, outer, many):
-        with mock.patch.object(tensor_module, "_permute", wraps=tensor_module._permute) as spy:
+    permute, calls = tensor_module._permute, []
+
+    def counted(*args):  # one wrapper for the example: patching is dearer than a transpose
+        calls.append(args)
+        return permute(*args)
+
+    with mock.patch.object(tensor_module, "_permute", counted):
+        for source in (fresh, outer, many):
+            calls.clear()
             got = tensor_module.transpose(source, axes)
-        assert spy.call_count == 1
-        assert "lane" not in vars(got)
-        assert got.lane == tensor_module._integers(got.entries)
-    # a source that holds its lane alone (a draw, a stack draw, an integral
-    # kernel result) gives the moved lane alone, through one gather
-    seed = data.draw(st.integers(0, 1 << 30), label="seed")
-    drawn = random_map(outer.arity, outer.input_dims, outer.codomain_dim, seed=seed)
-    both = tensor_module._draw([seed, seed + 1], outer.arity, outer.input_dims, outer.codomain_dim)
-    composed = compose_into_slot(drawn, random_map(1, (2,), outer.input_dims[0], seed=seed), 1)
-    for source in (drawn, both, composed):
-        assert "entries" not in vars(source)
-        ints, den = source.lane
-        twin = _entry_built(source)
-        with mock.patch.object(tensor_module, "_permute", wraps=tensor_module._permute) as spy:
+            assert len(calls) == 1
+            assert "lane" not in vars(got)
+            assert got.lane == tensor_module._integers(got.entries)
+        # a source that holds its lane alone (a draw, a stack draw, an
+        # integral kernel result) gives the moved lane alone, through one gather
+        seed = data.draw(st.integers(0, 1 << 30), label="seed")
+        drawn = random_map(outer.arity, outer.input_dims, outer.codomain_dim, seed=seed)
+        both = tensor_module._draw([seed, seed + 1], outer.arity, outer.input_dims,
+                                   outer.codomain_dim)
+        composed = compose_into_slot(drawn, random_map(1, (2,), outer.input_dims[0], seed=seed), 1)
+        for source in (drawn, both, composed):
+            assert "entries" not in vars(source)
+            ints, den = source.lane
+            twin = _entry_built(source)
+            calls.clear()
             got = tensor_module.transpose(source, axes)
-        assert spy.call_count == 1 and den == 1
-        assert "entries" not in vars(got) and "entries" not in vars(source)
-        assert got.lane == (tensor_module._permute(ints, source.shape, axes, source.instances), 1)
-        assert got == tensor_module.transpose(twin, axes)
+            assert len(calls) == 1 and den == 1
+            assert "entries" not in vars(got) and "entries" not in vars(source)
+            assert got.lane == (permute(ints, source.shape, axes, source.instances), 1)
+            assert got == tensor_module.transpose(twin, axes)
 
 
 def _entry_built(m):
